@@ -116,7 +116,8 @@ def run(args) -> experiments.ExperimentResult:
                                 max_iter=args.max_iter)
         return experiments.run_custom(args.problem,
                                       args.method or ["newton"],
-                                      args.x0, stop, lam=args.lam, b=args.b)
+                                      args.x0, stop, lam=args.lam, b=args.b,
+                                      dd_variant=args.dd)
     raise ValueError(f"unknown experiment {name!r}")
 
 

@@ -6,6 +6,7 @@ quadrature error) the interpolatory identity H(x - y) = F(x) - F(y).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -31,41 +32,62 @@ class DividedDifference:
         if self.variant == "integral" and self.quad_nodes < 2:
             raise ValueError("integral variant needs at least 2 nodes")
 
-    def __call__(self, problem: Problem, x, y) -> np.ndarray:
+    def __call__(self, problem: Problem, x, y, fx=None, fy=None) -> np.ndarray:
+        """Operator on the nodes x, y.  Known values fx = F(x), fy = F(y) are
+        used instead of evaluating F there again; the integral variant needs
+        neither."""
         if self.variant == "scalar":
-            return np.array([[scalar_dd(problem, float(np.atleast_1d(x)[0]),
-                                        float(np.atleast_1d(y)[0]))]])
+            return np.array([[scalar_dd(problem, _first(x), _first(y),
+                                        _first(fx), _first(fy))]])
         if self.variant == "integral":
             return integral_dd(problem, x, y, self.quad_nodes)
-        return componentwise_dd(problem, x, y)
+        return componentwise_dd(problem, x, y, fx, fy)
+
+
+def _first(v):
+    return None if v is None else float(np.atleast_1d(v)[0])
 
 
 def _coincident(xj: float, yj: float) -> bool:
     return abs(yj - xj) < COINCIDENT_TOL * max(1.0, abs(xj))
 
 
-def scalar_dd(problem: Problem, x: float, y: float) -> float:
-    """(f(x) - f(y)) / (x - y); falls back to f'(x) on coincident nodes."""
+def scalar_dd(problem: Problem, x: float, y: float,
+              fx: Optional[float] = None, fy: Optional[float] = None) -> float:
+    """(f(x) - f(y)) / (x - y); falls back to f'(x) on coincident nodes.
+    Known values fx = f(x), fy = f(y) are not evaluated again."""
     if problem.dimension != 1:
         raise ValueError("scalar_dd requires a scalar problem")
     if _coincident(x, y):
         return float(problem.jac([x])[0, 0])
-    fx = problem.evaluate([x])[0]
-    fy = problem.evaluate([y])[0]
+    if fx is None:
+        fx = problem.evaluate([x])[0]
+    if fy is None:
+        fy = problem.evaluate([y])[0]
     return float((fx - fy) / (x - y))
 
 
-def componentwise_dd(problem: Problem, x, y) -> np.ndarray:
+def componentwise_dd(problem: Problem, x, y, fx=None, fy=None) -> np.ndarray:
     """Telescoping componentwise operator.
 
-    Column j is the difference quotient of F in the j-th coordinate after the
-    first j-1 coordinates have already been moved from x to y, so the columns
-    telescope and the interpolatory identity holds exactly up to rounding.
-    Columns with y_j = x_j (to 1e-14 relative) take the Jacobian column.
+    Column j is the difference quotient of F between the telescope points
+    z_j = (y[:j], x[j:]) and z_{j+1}, so the columns telescope and the
+    interpolatory identity holds exactly up to rounding.  Each z_k is
+    evaluated at most once; the endpoints z_0 = x and z_m = y not at all
+    when their values fx, fy are given, so a full operator costs m - 1 new
+    F evaluations.  Columns with y_j = x_j (to 1e-14 relative) take the
+    Jacobian column.
     """
     m = problem.dimension
     x = as_point(x, m)
     y = as_point(y, m)
+    fz = [fx] + [None] * (m - 1) + [fy]
+
+    def f_at(k):
+        if fz[k] is None:
+            fz[k] = problem.evaluate(np.concatenate([y[:k], x[k:]]))
+        return fz[k]
+
     H = np.empty((m, m))
     jac = None
     for j in range(m):
@@ -74,9 +96,7 @@ def componentwise_dd(problem: Problem, x, y) -> np.ndarray:
                 jac = problem.jac(x)
             H[:, j] = jac[:, j]
             continue
-        za = np.concatenate([y[:j + 1], x[j + 1:]])
-        zb = np.concatenate([y[:j], x[j:]])
-        H[:, j] = (problem.evaluate(za) - problem.evaluate(zb)) / (y[j] - x[j])
+        H[:, j] = (f_at(j + 1) - f_at(j)) / (y[j] - x[j])
     return H
 
 

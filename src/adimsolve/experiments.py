@@ -41,7 +41,7 @@ def method_from_name(name: str, x0=None, lam: float = 1.0,
     if name == "asis":
         return ASIS(dd=dd)
     if name == "secant":
-        prev = 0.0 if x0 is None else np.atleast_1d(x0)[0] - 0.1
+        prev = 0.0 if x0 is None else np.atleast_1d(x0) - 0.1
         return Secant(x_prev=prev)
     if name == "damped-steffensen":
         return DampedSteffensen(lam=lam, dd=dd)

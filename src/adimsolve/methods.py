@@ -117,7 +117,7 @@ class Newton:
 
 @dataclass(frozen=True)
 class Secant:
-    x_prev: float
+    x_prev: object  # a point of the problem's dimension (scalar when m = 1)
 
 
 @dataclass(frozen=True)
@@ -141,84 +141,92 @@ class ASIS:
     dd: DividedDifference = DividedDifference("componentwise")
 
 
-METHOD_NAMES = {
-    Bisection: "bisection",
-    FixedSlope: "fixed-slope",
-    DampedFirstOrder: "damped-first-order",
-    Newton: "newton",
-    Secant: "secant",
-    Steffensen: "steffensen",
-    DampedSteffensen: "damped-steffensen",
-    HFamily: "h-family",
-    ASIS: "asis",
-}
-
-
 # -- single steps ------------------------------------------------------------
+#
+# Each step takes the value fx = F(x) when the caller already has it (solve
+# always does, from its residual check), so no point is evaluated twice.
 
-def newton_step(problem: Problem, x) -> np.ndarray:
+def newton_step(problem: Problem, x, fx=None) -> np.ndarray:
     x = as_point(x, problem.dimension)
-    return x - solve_linear(problem.jac(x), problem.evaluate(x))
+    if fx is None:
+        fx = problem.evaluate(x)
+    return x - solve_linear(problem.jac(x), fx)
 
 
 def steffensen_step(problem: Problem, x,
-                    dd: DividedDifference = DividedDifference("componentwise")
-                    ) -> np.ndarray:
+                    dd: DividedDifference = DividedDifference("componentwise"),
+                    fx=None) -> np.ndarray:
     """x - F[x + F(x), x]^{-1} F(x); nodes in that order.
 
     Square problems only: the node sum x + F(x) is what makes the classic
     method dimension- and scale-sensitive.
     """
     x = as_point(x, problem.dimension)
-    fx = problem.evaluate(x)
+    if fx is None:
+        fx = problem.evaluate(x)
     node = x + fx
-    H = dd(problem, node, x)
+    H = dd(problem, node, x, fy=fx)
     return x - solve_linear(H, fx)
+
+
+def damping_scale(problem: Problem, x0) -> float:
+    """f'(x0) (scalar) or ||F'(x0)|| (vectors), the damped node's divisor."""
+    x0 = as_point(x0, problem.dimension)
+    J0 = problem.jac(x0)
+    if problem.dimension == 1:
+        scale = J0[0, 0]
+    else:
+        scale = problem.operator_norm(J0)
+    if scale == 0.0:
+        raise SingularOperatorError("F'(x0) vanishes; damped node undefined")
+    return scale
 
 
 def damped_steffensen_step(problem: Problem, x, lam: float,
                            x0=None,
-                           dd: DividedDifference = DividedDifference("componentwise")
+                           dd: DividedDifference = DividedDifference("componentwise"),
+                           fx=None, scale: Optional[float] = None
                            ) -> np.ndarray:
     """Steffensen step with node x + lam*F(x)/f'(x0) (scalar) or
-    x + lam*F(x)/||F'(x0)|| (vectors); lam is adimensional."""
+    x + lam*F(x)/||F'(x0)|| (vectors); lam is adimensional.  A known
+    `scale` (from damping_scale) saves the Jacobian at x0."""
     x = as_point(x, problem.dimension)
-    x0 = x if x0 is None else as_point(x0, problem.dimension)
-    fx = problem.evaluate(x)
-    if problem.dimension == 1:
-        scale = problem.jac(x0)[0, 0]
-    else:
-        scale = problem.operator_norm(problem.jac(x0))
-    if scale == 0.0:
-        raise SingularOperatorError("F'(x0) vanishes; damped node undefined")
+    if fx is None:
+        fx = problem.evaluate(x)
+    if scale is None:
+        scale = damping_scale(problem, x if x0 is None else x0)
     node = x + lam * fx / scale
-    H = dd(problem, node, x)
+    H = dd(problem, node, x, fy=fx)
     return x - solve_linear(H, fx)
 
 
 def secant_step(problem: Problem, x_prev, x,
-                dd: DividedDifference = DividedDifference("componentwise")
-                ) -> np.ndarray:
+                dd: DividedDifference = DividedDifference("componentwise"),
+                fx=None, fx_prev=None) -> np.ndarray:
     x = as_point(x, problem.dimension)
     x_prev = as_point(x_prev, problem.dimension)
-    H = dd(problem, x_prev, x)
-    return x - solve_linear(H, problem.evaluate(x))
+    if fx is None:
+        fx = problem.evaluate(x)
+    H = dd(problem, x_prev, x, fx=fx_prev, fy=fx)
+    return x - solve_linear(H, fx)
 
 
-def logarithmic_convexity(problem: Problem, x) -> float:
-    """L_f = f'' f / f'^2, the adimensional degree of logarithmic convexity."""
+def logarithmic_convexity(problem: Problem, x, fx=None, fp=None) -> float:
+    """L_f = f'' f / f'^2, the adimensional degree of logarithmic convexity.
+    Known fx = f(x) and fp = f'(x) are not evaluated again."""
     if problem.dimension != 1:
         raise ValueError("logarithmic_convexity is scalar-only")
     x = as_point(x, 1)
-    fp = problem.jac(x)[0, 0]
+    if fp is None:
+        fp = problem.jac(x)[0, 0]
     if fp == 0.0:
         raise SingularOperatorError("f'(x) = 0")
-    f = problem.evaluate(x)[0]
+    f = (problem.evaluate(x) if fx is None else fx)[0]
     fpp = problem.second_derivative(x)
     return float(fpp * f / (fp * fp))
 
 
-def h_family_step(problem: Problem, x, h: Callable) -> np.ndarray:
+def h_family_step(problem: Problem, x, h: Callable, fx=None) -> np.ndarray:
     """x - h(L_f(x)) * f(x)/f'(x): Newton for h = 1, Halley for 1/(1-L/2)."""
     if problem.dimension != 1:
         raise ValueError("h_family_step is scalar-only")
@@ -226,9 +234,10 @@ def h_family_step(problem: Problem, x, h: Callable) -> np.ndarray:
     fp = problem.jac(x)[0, 0]
     if fp == 0.0:
         raise SingularOperatorError("f'(x) = 0")
-    L = logarithmic_convexity(problem, x)
-    f = problem.evaluate(x)[0]
-    return x - h(L) * f / fp
+    if fx is None:
+        fx = problem.evaluate(x)
+    L = logarithmic_convexity(problem, x, fx=fx, fp=fp)
+    return x - h(L) * fx[0] / fp
 
 
 # -- solve driver ------------------------------------------------------------
@@ -264,7 +273,7 @@ def solve(problem: Problem, method, x0, stop: StoppingCriteria) -> IterationTrac
         return trace
 
     x = as_point(x0, problem.dimension)
-    state = {"x_prev": None}
+    state = {"x_prev": None, "f_prev": None}
     if isinstance(method, Secant):
         state["x_prev"] = as_point(method.x_prev, problem.dimension)
     if isinstance(method, (DampedFirstOrder,)):
@@ -272,23 +281,26 @@ def solve(problem: Problem, method, x0, stop: StoppingCriteria) -> IterationTrac
     if isinstance(method, DampedSteffensen):
         state["x0"] = x.copy()
 
-    def one_step(x):
+    def one_step(x, fx):
         if isinstance(method, Newton):
-            return newton_step(p, x)
+            return newton_step(p, x, fx=fx)
         if isinstance(method, Steffensen):
-            return steffensen_step(p, x, method.dd)
+            return steffensen_step(p, x, method.dd, fx=fx)
         if isinstance(method, DampedSteffensen):
-            x_new = damped_steffensen_step(p, x, method.lam, state["x0"],
-                                           method.dd)
-            return x_new
+            if "scale" not in state:
+                state["scale"] = damping_scale(p, state["x0"])
+            return damped_steffensen_step(p, x, method.lam, state["x0"],
+                                          method.dd, fx=fx,
+                                          scale=state["scale"])
         if isinstance(method, Secant):
-            x_new = secant_step(p, state["x_prev"], x)
-            state["x_prev"] = x
+            x_new = secant_step(p, state["x_prev"], x, fx=fx,
+                                fx_prev=state["f_prev"])
+            state["x_prev"], state["f_prev"] = x, fx
             return x_new
         if isinstance(method, FixedSlope):
-            return x - method.c * p.evaluate(x)
+            return x - method.c * fx
         if isinstance(method, DampedFirstOrder):
-            step = solve_linear(state["J0"], p.evaluate(x))
+            step = solve_linear(state["J0"], fx)
             if problem.dimension == 1:
                 ratio = abs(method.lam * p.jac(x)[0, 0] / state["J0"][0, 0])
                 if not 0.0 < ratio < 2.0:
@@ -297,11 +309,11 @@ def solve(problem: Problem, method, x0, stop: StoppingCriteria) -> IterationTrac
                         trace.warnings.append(msg)
             return x - method.lam * step
         if isinstance(method, HFamily):
-            return h_family_step(p, x, method.h)
+            return h_family_step(p, x, method.h, fx=fx)
         raise TypeError(f"unknown method {method!r}")
 
     try:
-        res = p.vector_norm(p.evaluate(x))
+        fx = p.evaluate(x)
     except DomainError:
         trace.iterates.append(x)
         trace.residual_norms.append(float("nan"))
@@ -309,6 +321,7 @@ def solve(problem: Problem, method, x0, stop: StoppingCriteria) -> IterationTrac
         trace.n_evals = counts["f"]
         return trace
 
+    res = p.vector_norm(fx)
     trace.iterates.append(x.copy())
     trace.residual_norms.append(res)
     min_res = res
@@ -316,14 +329,15 @@ def solve(problem: Problem, method, x0, stop: StoppingCriteria) -> IterationTrac
 
     for _ in range(stop.max_iter):
         try:
-            x_new = one_step(x)
-            res_new = p.vector_norm(p.evaluate(x_new))
+            x_new = one_step(x, fx)
+            fx = p.evaluate(x_new)
         except SingularOperatorError:
             status = "singular-operator"
             break
         except DomainError:
             status = "domain-failure"
             break
+        res_new = p.vector_norm(fx)
         step_norm = p.vector_norm(x_new - x)
         trace.iterates.append(x_new.copy())
         trace.residual_norms.append(res_new)

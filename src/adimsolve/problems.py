@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
 FD_STEP = 1e-7
 RCOND_FLOOR = 1e-14
@@ -131,7 +132,11 @@ class Problem:
 
 
 def spectral_norm(A: np.ndarray, tol: float = 1e-12, max_sweeps: int = 200) -> float:
-    """2-norm by power iteration on A^T A."""
+    """2-norm by power iteration on A^T A.
+
+    When the iterate vanishes (the start vector lies in the null space of
+    A^T A) a nonzero A falls back to the SVD-based norm.
+    """
     A = np.atleast_2d(A)
     m = A.shape[0]
     if m == 1:
@@ -143,7 +148,7 @@ def spectral_norm(A: np.ndarray, tol: float = 1e-12, max_sweeps: int = 200) -> f
         w = B @ v
         nw = np.linalg.norm(w)
         if nw == 0.0:
-            return 0.0
+            return float(np.linalg.norm(A, 2)) if np.any(A) else 0.0
         v_new = w / nw
         lam_new = float(v_new @ B @ v_new)
         if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
@@ -163,12 +168,19 @@ def rcond(A: np.ndarray) -> float:
 
 
 def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense solve with partial pivoting; raises when rcond < 1e-14."""
+    """Dense solve through one LU factorization with partial pivoting.
+
+    Raises when the factorization hits an exactly zero pivot or when the
+    LAPACK 1-norm reciprocal condition estimate (gecon) is below 1e-14.
+    """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    if rcond(A) < RCOND_FLOOR:
+    lu, piv, info = dgetrf(A)
+    if info == 0:
+        rc, info = dgecon(lu, np.abs(A).sum(axis=0).max(), norm="1")
+    if info != 0 or not rc >= RCOND_FLOOR:
         raise SingularOperatorError("singular linear operator (rcond < 1e-14)")
-    return np.linalg.solve(A, b)
+    return dgetrs(lu, piv, b)[0]
 
 
 # -- linear rescalings ------------------------------------------------------

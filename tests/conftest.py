@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -52,3 +54,21 @@ def random_quadratic_problem(rng, m):
         return Problem(f=lambda x: f([x])[0], jacobian=lambda x: jac([x])[0, 0],
                        dimension=1, name="rand-quadratic")
     return Problem(f=f, jacobian=jac, dimension=m, name="rand-quadratic")
+
+
+def recording(problem):
+    """Copy of `problem` whose map and Jacobian log every argument they see:
+    returns the copy and {"f": [points], "jac": [points]}."""
+    calls = {"f": [], "jac": []}
+
+    def f(x):
+        calls["f"].append(np.atleast_1d(np.array(x, dtype=float)))
+        return problem.f(x)
+
+    jac = None
+    if problem.jacobian is not None:
+        def jac(x):
+            calls["jac"].append(np.atleast_1d(np.array(x, dtype=float)))
+            return problem.jacobian(x)
+
+    return dataclasses.replace(problem, f=f, jacobian=jac), calls

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +95,54 @@ class TestOutputFiles:
         assert main(["example1", "--out", str(tmp_path)]) == 0
         for p in tmp_path.glob("*.csv"):
             assert "np.float" not in p.read_text()
+
+
+    def test_custom_dd_flag_selects_the_operator(self, tmp_path, capsys):
+        counts = {}
+        for dd in ("componentwise", "integral"):
+            out = tmp_path / dd
+            assert main(["custom", "--problem", "example3", "--method",
+                         "steffensen", "--x0", "0", "0", "--dd", dd,
+                         "--max-iter", "20", "--out", str(out),
+                         "--format", "json"]) == 0
+            trace = json.loads((out / "custom_example3_steffensen.json").read_text())
+            counts[dd] = trace["n_jac_evals"]
+        assert counts["componentwise"] == 0
+        assert counts["integral"] > 0
+
+    def test_secant_on_a_system(self, tmp_path, capsys):
+        assert main(["custom", "--problem", "example3", "--method", "secant",
+                     "--x0", "0.5", "0.5", "--out", str(tmp_path),
+                     "--format", "json"]) == 0
+        trace = json.loads((tmp_path / "custom_example3_secant.json").read_text())
+        assert trace["status"].startswith("converged")
+        assert len(trace["iterates"]) - 1 == 9
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+GOLDEN_RUNS = (
+    ["example1"],
+    ["example2"],
+    ["example3"],
+    ["zigzag", "--b", "0.1"],
+    ["bounds-report", "--k2", "1.0", "--B", "1.0", "--eta", "0.5",
+     "--system", "newton"],
+    ["bounds-report", "--k2", "1.0", "--B", "1.0", "--eta", "0.5",
+     "--system", "steffensen"],
+    ["custom", "--problem", "f1", "--method", "newton", "--method", "asis",
+     "--x0", "0.0"],
+)
+
+
+def test_outputs_match_the_stored_golden_files(tmp_path, capsys):
+    """The paper's runs write the same bytes as the stored reference files
+    (iterates, residuals and tables unchanged to the last bit)."""
+    for argv in GOLDEN_RUNS:
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(p.name for p in GOLDEN.iterdir())
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 class TestConfigFile:

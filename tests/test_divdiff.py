@@ -9,7 +9,7 @@ from adimsolve.divdiff import (DividedDifference, componentwise_dd,
                                integral_dd, scalar_dd, verify_interpolatory)
 from adimsolve.problems import Problem
 
-from conftest import linear_problem, random_quadratic_problem
+from conftest import linear_problem, random_quadratic_problem, recording
 
 # frozen oracle: (f1(0) - f1(e^-1 - 1)) / (0 - (e^-1 - 1))
 F1_DD_ORACLE = 0.2726772679855246
@@ -67,6 +67,25 @@ class TestComponentwise:
         H = componentwise_dd(example3, x, x.copy())
         assert np.allclose(H, example3.jac(x))
 
+    def test_each_telescope_point_evaluated_once(self):
+        m = 5
+        p, calls = recording(random_quadratic_problem(np.random.default_rng(4), m))
+        x = np.linspace(0.1, 0.5, m)
+        y = x + np.linspace(0.3, -0.2, m)
+        H = componentwise_dd(p, x, y)
+        assert len(calls["f"]) == m + 1
+        assert len({z.tobytes() for z in calls["f"]}) == m + 1
+        assert not calls["jac"]
+        # with both endpoint values known only the m - 1 inner points remain
+        fx, fy = p.evaluate(x), p.evaluate(y)
+        calls["f"].clear()
+        H_known = componentwise_dd(p, x, y, fx=fx, fy=fy)
+        assert len(calls["f"]) == m - 1
+        inner = {z.tobytes() for z in calls["f"]}
+        assert len(inner) == m - 1
+        assert x.tobytes() not in inner and y.tobytes() not in inner
+        assert np.array_equal(H_known, H)
+
     def test_scalar_case_matches_scalar_dd(self, f1):
         H = componentwise_dd(f1, [0.0], [0.6])
         assert H[0, 0] == pytest.approx(scalar_dd(f1, 0.0, 0.6), rel=1e-15)
@@ -120,6 +139,20 @@ class TestDispatcher:
                            componentwise_dd(example3, x, y))
         assert np.allclose(DividedDifference("integral", quad_nodes=6)(example3, x, y),
                            integral_dd(example3, x, y, 6))
+
+    def test_known_values_pass_through_every_variant(self, f1, example3):
+        for p, x, y in ((f1, [0.3], [0.9]),
+                        (example3, [0.8, -0.6], [1.3, -1.2])):
+            fx, fy = p.evaluate(x), p.evaluate(y)
+            for variant in ("scalar", "componentwise", "integral"):
+                if variant == "scalar" and p.dimension > 1:
+                    continue
+                dd = DividedDifference(variant)
+                rec, calls = recording(p)
+                H = dd(rec, x, y, fx=fx, fy=fy)
+                assert np.array_equal(H, dd(p, x, y))
+                inner = p.dimension - 1 if variant == "componentwise" else 0
+                assert len(calls["f"]) == inner
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):

@@ -8,12 +8,13 @@ from adimsolve.methods import (ASIS, Bisection, DampedFirstOrder,
                                DampedSteffensen, FixedSlope, HFamily, Newton,
                                Secant, Steffensen, StoppingCriteria,
                                asis_solve, h_family_step,
-                               logarithmic_convexity, newton_step, secant_step,
-                               solve, steffensen_step)
+                               damped_steffensen_step, logarithmic_convexity,
+                               newton_step, secant_step, solve,
+                               steffensen_step)
 from adimsolve.problems import (Problem, SingularOperatorError,
                                 builtin_problem)
 
-from conftest import linear_problem
+from conftest import linear_problem, random_quadratic_problem, recording
 
 E = math.e
 STOP = StoppingCriteria(step_tol=0.0, residual_tol=1e-14, max_iter=100)
@@ -141,18 +142,77 @@ class TestSolveDriver:
             x = steffensen_step(f1, x)
             assert np.allclose(x, x_next, rtol=0, atol=0)
 
-    def test_evaluation_counts(self, f1):
-        trace = solve(f1, Newton(), 0.5, STOP)
-        # one residual at x0 plus (f, residual) per step
-        assert trace.n_evals == 1 + 2 * trace.n_steps
-        assert trace.n_jac_evals == trace.n_steps
-        assert not trace.used_fd_jacobian
+    def test_evaluation_counts(self):
+        for name, x0 in (("f1", 0.5), ("example3", [0.0, 0.0])):
+            p, calls = recording(builtin_problem(name))
+            trace = solve(p, Newton(), x0, STOP)
+            # one residual at x0 plus one residual per step; each step
+            # reuses the residual's F(x)
+            assert trace.n_evals == len(calls["f"]) == 1 + trace.n_steps
+            assert trace.n_jac_evals == len(calls["jac"]) == trace.n_steps
+            assert not trace.used_fd_jacobian
 
     def test_fd_jacobian_flag(self):
         p = Problem(f=lambda x: x * x - 4.0, dimension=1)
         trace = solve(p, Newton(), 3.0, STOP)
         assert trace.used_fd_jacobian
         assert trace.status.startswith("converged")
+
+
+class TestEvaluationBudget:
+    """Exact F and Jacobian counts per solve: each point is evaluated once."""
+
+    FOUR_STEPS = StoppingCriteria(step_tol=0.0, residual_tol=0.0, max_iter=4)
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_steffensen_costs_m_plus_1_per_step(self, m):
+        p, calls = recording(random_quadratic_problem(np.random.default_rng(m), m))
+        trace = solve(p, Steffensen(), np.zeros(m), self.FOUR_STEPS)
+        assert trace.n_steps == 4
+        assert trace.n_evals == len(calls["f"]) == 1 + (m + 1) * trace.n_steps
+        assert trace.n_jac_evals == len(calls["jac"]) == 0
+        assert len({x.tobytes() for x in calls["f"]}) == len(calls["f"])
+
+    @pytest.mark.parametrize("x0", [[0.5], [0.0, 0.0]])
+    def test_damped_steffensen_takes_one_jacobian_per_solve(self, f1,
+                                                            example3, x0):
+        p, calls = recording(f1 if len(x0) == 1 else example3)
+        # stop before F(x) falls below 1e-14 |x|, where coincident nodes
+        # would take Jacobian columns in the telescope
+        trace = solve(p, DampedSteffensen(lam=0.7), x0,
+                      StoppingCriteria(step_tol=0.0, residual_tol=1e-10))
+        assert trace.status.startswith("converged")
+        assert trace.n_steps > 1
+        assert trace.n_jac_evals == len(calls["jac"]) == 1
+        assert all(np.array_equal(x, x0) for x in calls["jac"])
+
+    def test_secant_reuses_both_known_values(self, example3):
+        m = 2
+        p, calls = recording(example3)
+        trace = solve(p, Secant(x_prev=[0.4, 0.4]), [0.5, 0.5], STOP)
+        assert trace.status.startswith("converged")
+        # F(x_prev) once, then m - 1 telescope points and the residual a step
+        assert trace.n_evals == len(calls["f"]) == 2 + m * trace.n_steps
+        assert len({x.tobytes() for x in calls["f"]}) == len(calls["f"])
+
+    def test_halley_costs_one_f_per_step(self, f1):
+        p, calls = recording(f1)
+        trace = solve(p, HFamily(h=lambda L: 1.0 / (1.0 - L / 2.0)), 0.5, STOP)
+        assert trace.n_evals == len(calls["f"]) == 1 + trace.n_steps
+        assert trace.n_jac_evals == trace.n_steps
+
+    def test_known_value_gives_the_same_step(self, f1, example3):
+        h = lambda L: 1.0 / (1.0 - L / 2.0)
+        for p, x in ((f1, np.array([0.4])), (example3, np.array([0.3, -0.2]))):
+            fx = p.evaluate(x)
+            steps = [lambda **kw: newton_step(p, x, **kw),
+                     lambda **kw: steffensen_step(p, x, **kw),
+                     lambda **kw: damped_steffensen_step(p, x, 0.5, **kw),
+                     lambda **kw: secant_step(p, x - 0.1, x, **kw)]
+            if p.dimension == 1:
+                steps.append(lambda **kw: h_family_step(p, x, h, **kw))
+            for step in steps:
+                assert np.array_equal(step(fx=fx), step())
 
 
 class TestBisection:

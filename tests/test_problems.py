@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from adimsolve.problems import (AlreadyAtRootError, LinearScaling,
                                 SingularOperatorError, apply_scaling,
                                 builtin_problem, kantorovich_data,
-                                spectral_norm)
+                                solve_linear, spectral_norm)
 
 from conftest import linear_problem
 
@@ -163,6 +163,14 @@ class TestNorms:
             assert spectral_norm(A) == pytest.approx(
                 np.linalg.norm(A, 2), rel=1e-10)
 
+    def test_spectral_norm_when_start_vector_is_in_the_null_space(self):
+        # A^T A (1, 1) = 0, so the power iterate vanishes at once
+        A = np.array([[1.0, -1.0], [1.0, -1.0]])
+        assert spectral_norm(A) == pytest.approx(2.0, rel=1e-14)
+        assert builtin_problem("example3").operator_norm(A) == pytest.approx(
+            2.0, rel=1e-14)
+        assert spectral_norm(np.zeros((3, 3))) == 0.0
+
     def test_max_norm_row_sum(self):
         p = builtin_problem("example3", norm="max")
         A = np.array([[1.0, -2.0], [3.0, 0.5]])
@@ -174,3 +182,30 @@ class TestNorms:
         v = [3.0, -4.0]
         assert p_e.vector_norm(v) == 5.0
         assert p_m.vector_norm(v) == 4.0
+
+
+class TestSolveLinear:
+    def test_matches_numpy_solve(self):
+        rng = np.random.default_rng(11)
+        for m in (1, 2, 5, 30):
+            A = rng.standard_normal((m, m)) + m * np.eye(m)
+            b = rng.standard_normal(m)
+            assert np.allclose(solve_linear(A, b), np.linalg.solve(A, b),
+                               rtol=1e-12, atol=1e-14)
+
+    def test_scalar_systems_match_numpy_bit_for_bit(self):
+        for a, b in ((3.0, 1.0), (-0.7, 2.5), (1e-9, 1e-3)):
+            assert solve_linear([[a]], [b])[0] == np.linalg.solve([[a]], [b])[0]
+
+    @pytest.mark.parametrize("A", [
+        [[0.0]],
+        [[1.0, 2.0], [2.0, 4.0]],          # exactly singular: zero pivot
+        [[1.0, 0.0], [0.0, 1e-17]],        # estimate below the 1e-14 floor
+    ])
+    def test_singular_operators_raise(self, A):
+        with pytest.raises(SingularOperatorError):
+            solve_linear(A, np.ones(len(A)))
+
+    def test_ill_conditioned_above_the_floor_solves(self):
+        x = solve_linear([[1.0, 0.0], [0.0, 1e-10]], [1.0, 1e-10])
+        assert np.allclose(x, [1.0, 1.0], rtol=1e-12)
