@@ -276,8 +276,6 @@ def solve(problem: Problem, method, x0, stop: StoppingCriteria) -> IterationTrac
     state = {"x_prev": None, "f_prev": None}
     if isinstance(method, Secant):
         state["x_prev"] = as_point(method.x_prev, problem.dimension)
-    if isinstance(method, (DampedFirstOrder,)):
-        state["J0"] = p.jac(x)
     if isinstance(method, DampedSteffensen):
         state["x0"] = x.copy()
 
@@ -314,11 +312,14 @@ def solve(problem: Problem, method, x0, stop: StoppingCriteria) -> IterationTrac
 
     try:
         fx = p.evaluate(x)
+        if isinstance(method, DampedFirstOrder):
+            state["J0"] = p.jac(x)
     except DomainError:
         trace.iterates.append(x)
         trace.residual_norms.append(float("nan"))
         trace.status = "domain-failure"
         trace.n_evals = counts["f"]
+        trace.n_jac_evals = counts["jac"]
         return trace
 
     res = p.vector_norm(fx)

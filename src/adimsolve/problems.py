@@ -121,41 +121,61 @@ class Problem:
             return float(np.linalg.norm(v))
         return float(np.linalg.norm(v, np.inf))
 
-    def operator_norm(self, A) -> float:
+    def operator_norm(self, A):
+        """Norm of A induced by the vector norm, for one matrix or for each
+        matrix of a stack of shape (..., m, m): a float for a 2-D A, an
+        array of shape A.shape[:-2] for a stack."""
         A = np.atleast_2d(np.asarray(A, dtype=float))
         if self.norm == "max":
-            return float(np.max(np.sum(np.abs(A), axis=1)))
+            norms = np.abs(A).sum(-1).max(-1)
+            return float(norms) if A.ndim == 2 else norms
         return spectral_norm(A)
 
     def has_analytic_jacobian(self) -> bool:
         return self.jacobian is not None
 
 
-def spectral_norm(A: np.ndarray, tol: float = 1e-12, max_sweeps: int = 200) -> float:
-    """2-norm by power iteration on A^T A.
+def spectral_norm(A: np.ndarray, tol: float = 1e-12, max_sweeps: int = 200):
+    """2-norm by power iteration on A^T A, of one matrix or of each matrix
+    of a stack of shape (..., m, m).
 
-    When the iterate vanishes (the start vector lies in the null space of
-    A^T A) a nonzero A falls back to the SVD-based norm.
+    The whole stack iterates together, and each matrix stops on its own
+    when |lam_new - lam| <= tol * max(1, |lam_new|).  When a matrix's
+    iterate vanishes (the start vector lies in the null space of its
+    A^T A) a nonzero matrix falls back to the SVD-based norm.  A 2-D A
+    gives a float, a stack an array of shape A.shape[:-2].
     """
-    A = np.atleast_2d(A)
-    m = A.shape[0]
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    mats = A.reshape(-1, *A.shape[-2:])
+    m = mats.shape[-1]
     if m == 1:
-        return abs(float(A[0, 0]))
-    B = A.T @ A
-    v = np.ones(m) / np.sqrt(m)
-    lam = 0.0
-    for _ in range(max_sweeps):
-        w = B @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return float(np.linalg.norm(A, 2)) if np.any(A) else 0.0
-        v_new = w / nw
-        lam_new = float(v_new @ B @ v_new)
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            lam = lam_new
-            break
-        v, lam = v_new, lam_new
-    return float(np.sqrt(max(lam, 0.0)))
+        norms = np.abs(mats[:, 0, 0])
+    else:
+        # column iterates of shape (k, m, 1): each product below is one BLAS
+        # call per matrix, so a matrix gets the same arithmetic as alone
+        k = len(mats)
+        B = np.swapaxes(mats, -1, -2) @ mats
+        v = np.full((k, m, 1), 1.0 / np.sqrt(m))
+        lam = np.zeros(k)
+        done, vanished = np.zeros(k, dtype=bool), np.zeros(k, dtype=bool)
+        for _ in range(max_sweeps):
+            w = B @ v
+            nw = np.sqrt(np.swapaxes(w, -1, -2) @ w)
+            vanished |= ~done & (nw[:, 0, 0] == 0.0)
+            v = w / np.where(nw == 0.0, 1.0, nw)
+            lam_new = (np.swapaxes(v, -1, -2) @ B @ v)[:, 0, 0]
+            settled = (np.abs(lam_new - lam)
+                       <= tol * np.maximum(1.0, np.abs(lam_new)))
+            lam = np.where(done, lam, lam_new)
+            done |= vanished | settled
+            if done.all():
+                break
+        norms = np.sqrt(np.maximum(lam, 0.0))
+        for i in np.flatnonzero(vanished):
+            norms[i] = np.linalg.norm(mats[i], 2) if np.any(mats[i]) else 0.0
+    if A.ndim == 2:
+        return float(norms[0])
+    return norms.reshape(A.shape[:-2])
 
 
 def rcond(A: np.ndarray) -> float:
@@ -167,20 +187,26 @@ def rcond(A: np.ndarray) -> float:
     return float(s[-1] / s[0])
 
 
-def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense solve through one LU factorization with partial pivoting.
+def factor_nonsingular(A: np.ndarray):
+    """One LU factorization (lu, piv) of A with partial pivoting.
 
     Raises when the factorization hits an exactly zero pivot or when the
     LAPACK 1-norm reciprocal condition estimate (gecon) is below 1e-14.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
     lu, piv, info = dgetrf(A)
     if info == 0:
         rc, info = dgecon(lu, np.abs(A).sum(axis=0).max(), norm="1")
     if info != 0 or not rc >= RCOND_FLOOR:
         raise SingularOperatorError("singular linear operator (rcond < 1e-14)")
-    return dgetrs(lu, piv, b)[0]
+    return lu, piv
+
+
+def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dense solve through one LU factorization, singular operators
+    rejected as in factor_nonsingular."""
+    lu, piv = factor_nonsingular(A)
+    return dgetrs(lu, piv, np.atleast_1d(np.asarray(b, dtype=float)))[0]
 
 
 # -- linear rescalings ------------------------------------------------------
@@ -250,7 +276,8 @@ def kantorovich_data(problem: Problem, x0, mode: str = "newton",
     mode="asis":   eta = B * ||F(x0)||.
     K2 is taken explicit (argument, then problem.k2) or estimated as the max
     of finite-difference Jacobian-variation norms sampled over the ball
-    B(x0, radius), default radius 2*eta.
+    B(x0, radius), default radius 2*eta.  F'(x0) is factored once, for B
+    and eta, and rejected as singular as in factor_nonsingular.
     """
     if mode not in ("newton", "asis"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -259,13 +286,10 @@ def kantorovich_data(problem: Problem, x0, mode: str = "newton",
     nf0 = problem.vector_norm(fx0)
     if nf0 < 1e-300:
         raise AlreadyAtRootError("already at root: F(x0) = 0")
-    J0 = problem.jac(x0)
-    if rcond(J0) < RCOND_FLOOR:
-        raise SingularOperatorError("derivative singular at x0")
-    J0inv = np.linalg.inv(J0)
-    B = problem.operator_norm(J0inv)
+    lu, piv = factor_nonsingular(problem.jac(x0))
+    B = problem.operator_norm(dgetrs(lu, piv, np.eye(problem.dimension))[0])
     if mode == "newton":
-        eta = problem.vector_norm(solve_linear(J0, fx0))
+        eta = problem.vector_norm(dgetrs(lu, piv, fx0)[0])
     else:
         eta = B * nf0
     if k2 is None:
@@ -281,7 +305,8 @@ def sample_k2(problem: Problem, x0, radius: float, n_samples: int = 24,
     """Max sampled ||F''|| proxy over the ball B(x0, radius).
 
     The proxy at x is the largest operator norm of the per-coordinate
-    finite-difference variation of the Jacobian.  Deterministic sample set:
+    finite-difference variation of the Jacobian; the m variations at x
+    go to operator_norm as one stack.  Deterministic sample set:
     center, axis points at the full radius, and a fixed seeded cloud.
     """
     x0 = as_point(x0, problem.dimension)
@@ -296,12 +321,12 @@ def sample_k2(problem: Problem, x0, radius: float, n_samples: int = 24,
         u = rng.standard_normal(m)
         u /= max(np.linalg.norm(u), 1e-30)
         pts.append(x0 + radius * rng.uniform(0.0, 1.0) * u)
+    steps = delta * np.eye(m)
     best = 0.0
     for x in pts:
-        for j in range(m):
-            e = np.zeros(m); e[j] = delta
-            D = (problem.jac(x + e) - problem.jac(x - e)) / (2.0 * delta)
-            best = max(best, problem.operator_norm(D))
+        D = np.array([problem.jac(x + e) - problem.jac(x - e) for e in steps])
+        D /= 2.0 * delta
+        best = max(best, float(problem.operator_norm(D).max()))
     return best
 
 

@@ -119,6 +119,18 @@ class TestSolveDriver:
                       StoppingCriteria(1e-14, 1e-14, 20))
         assert any("damping contract" in w for w in trace.warnings)
 
+    @pytest.mark.parametrize("f,jac", [
+        (np.log, lambda x: 1.0 / x),                    # F(x0) = -inf
+        (np.sqrt, lambda x: 0.5 / np.sqrt(x)),          # F(x0) = 0, F'(x0) = inf
+    ])
+    def test_damped_first_order_domain_failure_at_x0(self, f, jac):
+        with np.errstate(divide="ignore"):
+            trace = solve(Problem(f=f, jacobian=jac), DampedFirstOrder(lam=0.5),
+                          0.0, StoppingCriteria())
+        assert trace.status == "domain-failure"
+        assert trace.n_steps == 0
+        assert trace.n_evals == 1
+
     def test_newton_divergence_detected(self):
         trace = solve(atan_problem(), Newton(), 2.0,
                       StoppingCriteria(0.0, 1e-15, 200))

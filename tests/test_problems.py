@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adimsolve.problems import (AlreadyAtRootError, LinearScaling,
+from adimsolve.problems import (AlreadyAtRootError, DomainError,
+                                LinearScaling, Problem,
                                 SingularOperatorError, apply_scaling,
-                                builtin_problem, kantorovich_data,
-                                solve_linear, spectral_norm)
+                                as_point, builtin_problem, kantorovich_data,
+                                sample_k2, solve_linear, spectral_norm)
 
-from conftest import linear_problem
+from conftest import linear_problem, random_quadratic_problem
 
 E = math.e
 # Kantorovich threshold for f1: a = 1/2 exactly when K2 = 1
@@ -155,6 +157,77 @@ class TestKantorovichData:
         assert data.a == pytest.approx(base.a, abs=1e-10)
 
 
+def reference_spectral_norm(A, tol=1e-12, max_sweeps=200):
+    """One matrix at a time: power iteration on A^T A with the stopping
+    rule and null-space fallback of problems.spectral_norm."""
+    m = A.shape[0]
+    if m == 1:
+        return abs(float(A[0, 0]))
+    B = A.T @ A
+    v = np.ones(m) / np.sqrt(m)
+    lam = 0.0
+    for _ in range(max_sweeps):
+        w = B @ v
+        nw = np.linalg.norm(w)
+        if nw == 0.0:
+            return float(np.linalg.norm(A, 2)) if np.any(A) else 0.0
+        v_new = w / nw
+        lam_new = float(v_new @ B @ v_new)
+        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
+            lam = lam_new
+            break
+        v, lam = v_new, lam_new
+    return float(np.sqrt(max(lam, 0.0)))
+
+
+def reference_sample_k2(problem, x0, radius, n_samples=24, delta=1e-5):
+    """sample_k2 as a loop: one operator norm per sample point and axis."""
+    x0 = as_point(x0, problem.dimension)
+    m = problem.dimension
+    pts = [x0]
+    for j in range(m):
+        e = np.zeros(m); e[j] = radius
+        pts.append(x0 + e)
+        pts.append(x0 - e)
+    rng = np.random.default_rng(20240817)
+    for _ in range(n_samples):
+        u = rng.standard_normal(m)
+        u /= max(np.linalg.norm(u), 1e-30)
+        pts.append(x0 + radius * rng.uniform(0.0, 1.0) * u)
+    best = 0.0
+    for x in pts:
+        for j in range(m):
+            e = np.zeros(m); e[j] = delta
+            D = (problem.jac(x + e) - problem.jac(x - e)) / (2.0 * delta)
+            if problem.norm == "max":
+                best = max(best, float(np.max(np.sum(np.abs(D), axis=1))))
+            else:
+                best = max(best, reference_spectral_norm(D))
+    return best
+
+
+class TestSampleK2:
+    @pytest.mark.parametrize("norm", ["euclidean", "max"])
+    @pytest.mark.parametrize("m", [1, 2, 8])
+    def test_matches_the_per_matrix_loop(self, m, norm):
+        rng = np.random.default_rng(100 + m)
+        p = dataclasses.replace(random_quadratic_problem(rng, m), norm=norm)
+        x0 = rng.uniform(-0.5, 0.5, m)
+        k2 = sample_k2(p, x0, 0.7)
+        assert k2 > 0.0
+        assert k2 == pytest.approx(reference_sample_k2(p, x0, 0.7), rel=1e-13)
+
+    def test_non_finite_jacobian_at_a_sample_point(self):
+        # finite at x0 = (0.5, 0), NaN at the axis point (-0.5, 0)
+        p = Problem(f=lambda x: np.array([2.0 * np.sqrt(x[0]), x[1]]),
+                    jacobian=lambda x: np.array([[1.0 / np.sqrt(x[0]), 0.0],
+                                                 [0.0, 1.0]]),
+                    dimension=2)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(DomainError):
+                sample_k2(p, [0.5, 0.0], 1.0)
+
+
 class TestNorms:
     def test_spectral_norm_matches_svd(self):
         rng = np.random.default_rng(7)
@@ -170,6 +243,38 @@ class TestNorms:
         assert builtin_problem("example3").operator_norm(A) == pytest.approx(
             2.0, rel=1e-14)
         assert spectral_norm(np.zeros((3, 3))) == 0.0
+
+    def test_stacks_norm_slice_by_slice(self):
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((2, 3, 2, 2))
+        A[0, 1] = [[1.0, -1.0], [1.0, -1.0]]      # vanishing power iterate
+        A[1, 2] = 0.0
+        p = builtin_problem("example3")
+        p_max = builtin_problem("example3", norm="max")
+        for norms in (spectral_norm(A), p.operator_norm(A)):
+            assert norms.shape == (2, 3)
+            for i in np.ndindex(2, 3):
+                assert norms[i] == pytest.approx(np.linalg.norm(A[i], 2),
+                                                 rel=1e-10, abs=0.0)
+                assert norms[i] == pytest.approx(reference_spectral_norm(A[i]),
+                                                 rel=1e-13, abs=0.0)
+        # matrices still iterating when the sweeps run out keep their last estimate
+        capped = spectral_norm(A, max_sweeps=2)
+        for i in np.ndindex(2, 3):
+            assert capped[i] == pytest.approx(
+                reference_spectral_norm(A[i], max_sweeps=2), rel=1e-13, abs=0.0)
+        assert p.operator_norm(A)[0, 1] == pytest.approx(2.0, rel=1e-14)
+        assert p.operator_norm(A)[1, 2] == 0.0
+        row_sums = p_max.operator_norm(A)
+        for i in np.ndindex(2, 3):
+            assert row_sums[i] == np.linalg.norm(A[i], np.inf)
+        assert isinstance(p.operator_norm(A[0, 0]), float)
+        assert isinstance(p_max.operator_norm(A[0, 0]), float)
+
+    def test_stacked_scalars(self):
+        A = np.array([[[-3.0]], [[0.5]], [[0.0]]])
+        assert spectral_norm(A).tolist() == [3.0, 0.5, 0.0]
+        assert spectral_norm(A[0]) == 3.0
 
     def test_max_norm_row_sum(self):
         p = builtin_problem("example3", norm="max")
