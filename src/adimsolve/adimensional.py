@@ -15,6 +15,9 @@ from scipy.linalg import lu_factor, lu_solve
 from .problems import (AlreadyAtRootError, Problem, RCOND_FLOOR,
                        SingularOperatorError, as_point, rcond)
 
+NORMALIZATION_TOL = 1e-12   # allowed | ||G(y0)|| - 1 |
+DERIVATIVE_TOL = 1e-8       # allowed ||G'(y0) + I||, G' by finite differences
+
 
 @dataclass(frozen=True)
 class AdimensionalForm:
@@ -41,14 +44,13 @@ class AdimensionalForm:
         return lu_solve(self._lu, y)
 
 
-def adimensionalize(problem: Problem, x0,
-                    normalization_tol: float = 1e-12,
-                    derivative_tol: float = 1e-8) -> AdimensionalForm:
+def adimensionalize(problem: Problem, x0) -> AdimensionalForm:
     """Build the adimensional form at x0, verifying the normalization.
 
     Raises AlreadyAtRootError when F(x0) = 0 and SingularOperatorError when
-    F'(x0) is singular; fails loudly when the constructed form does not
-    satisfy ||G(y0)|| = 1 and G'(y0) = -I (finite-difference check).
+    F'(x0) is singular; fails loudly when the constructed form misses
+    ||G(y0)|| = 1 by more than NORMALIZATION_TOL or G'(y0) = -I by more
+    than DERIVATIVE_TOL (finite-difference check).
     """
     m = problem.dimension
     x0 = as_point(x0, m)
@@ -72,26 +74,22 @@ def adimensionalize(problem: Problem, x0,
         def g_jac(y):
             y = np.atleast_1d(np.asarray(y, dtype=float))
             x = lu_solve(lu, y)
-            # G'(y) = F'(x) T^{-1} / sigma, applied column-by-column
+            # G'(y) = F'(x) T^{-1} / sigma, transposed: T^{-T} F'(x)^T
+            # from T's LU
             Jf = problem.jac(x)
-            return np.linalg.solve(T.T, Jf.T).T / sigma
+            return lu_solve(lu, Jf.T, trans=1).T / sigma
 
-    g = Problem(f=(lambda y: g_eval(np.atleast_1d(y))) if m > 1 else
-                (lambda y: g_eval([y])[0]),
-                jacobian=None if g_jac is None else
-                ((lambda y: g_jac(np.atleast_1d(y))) if m > 1 else
-                 (lambda y: g_jac([y])[0, 0])),
-                dimension=m, norm=problem.norm,
+    g = Problem(f=g_eval, jacobian=g_jac, dimension=m, norm=problem.norm,
                 name=f"adim({problem.name})")
 
     y0 = T @ x0
     form = AdimensionalForm(problem=problem, x0=x0, sigma=sigma, T=T, y0=y0,
                             g=g, _lu=lu)
     report = check_normalization(form)
-    if report["value_residual"] > normalization_tol:
+    if report["value_residual"] > NORMALIZATION_TOL:
         raise ValueError("adimensional form violates ||G(y0)|| = 1: "
                          f"residual {report['value_residual']:.3e}")
-    if report["derivative_residual"] > derivative_tol:
+    if report["derivative_residual"] > DERIVATIVE_TOL:
         raise ValueError("adimensional form violates G'(y0) = -I: "
                          f"residual {report['derivative_residual']:.3e}")
     return form

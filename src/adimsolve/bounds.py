@@ -232,28 +232,28 @@ class ErrorEnvelopes:
     s_star: float
 
 
+def bound_sequences(a: float, N: int, system: str):
+    """The sequences of the "newton" or the "steffensen" system and their
+    partial sums r_n = d_0 + ... + d_{n-1}."""
+    if system == "newton":
+        seqs = newton_sequences(a, N)
+        return seqs, seqs.partial_sums
+    if system == "steffensen":
+        seqs = steffensen_sequences(a, N)
+        return seqs, seqs.r_seq
+    raise ValueError(f"unknown system {system!r}")
+
+
 def error_envelopes(data: KantorovichData, N: int,
                     system: str = "newton") -> ErrorEnvelopes:
-    if system not in ("newton", "steffensen"):
-        raise ValueError(f"unknown system {system!r}")
     a = data.a
     if a > A_MAX:
         raise HypothesesNotSatisfied(
             f"hypotheses not satisfied: a = {a:.6g} > 1/2")
     roots = majorizing_roots(a)
-    if system == "newton":
-        seqs = newton_sequences(a, N)
-        d_seq = seqs.d_seq
-        r_seq = seqs.partial_sums[:len(d_seq) + 1]
-        a_seq = seqs.a_seq
-    else:
-        seqs = steffensen_sequences(a, N)
-        d_seq = seqs.d_seq
-        r_seq = seqs.r_seq
-        a_seq = seqs.a_seq
-    tail = (roots.s_star - r_seq) * data.eta
-    return ErrorEnvelopes(data=data, system=system, d_seq=d_seq,
-                          step_bounds=d_seq * data.eta,
-                          tail_bounds=tail,
-                          inverse_bounds=a_seq * data.B,
+    seqs, r_seq = bound_sequences(a, N, system)
+    return ErrorEnvelopes(data=data, system=system, d_seq=seqs.d_seq,
+                          step_bounds=seqs.d_seq * data.eta,
+                          tail_bounds=(roots.s_star - r_seq) * data.eta,
+                          inverse_bounds=seqs.a_seq * data.B,
                           r_seq=r_seq, s_star=roots.s_star)

@@ -338,28 +338,13 @@ def run_bounds_report(k2: float, B: float, eta: float, system: str = "newton",
         raise bounds_mod.HypothesesNotSatisfied(
             f"hypotheses not satisfied: a = {data.a:.6g} > 1/2")
     a = data.a
-    s_star = bounds_mod.majorizing_roots(min(a, 0.5)).s_star if a <= 0.5 else float("nan")
-    if system == "newton":
-        seqs = bounds_mod.newton_sequences(a, N)
-        r = seqs.partial_sums
-        rows = [[n, repr(float(seqs.a_seq[n])), "", "",
-                 repr(float(seqs.d_seq[n])) if n < len(seqs.d_seq) else "",
-                 repr(float(r[n])),
-                 repr(float(seqs.d_seq[n] * eta)) if n < len(seqs.d_seq) else "",
-                 repr(float((s_star - r[n]) * eta))]
-                for n in range(len(seqs.a_seq))]
-    elif system == "steffensen":
-        seqs = bounds_mod.steffensen_sequences(a, N)
-        rows = [[n, repr(float(seqs.a_seq[n])),
-                 repr(float(seqs.b_seq[n])) if n < len(seqs.b_seq) else "",
-                 repr(float(seqs.c_seq[n])),
-                 repr(float(seqs.d_seq[n])) if n < len(seqs.d_seq) else "",
-                 repr(float(seqs.r_seq[n])),
-                 repr(float(seqs.d_seq[n] * eta)) if n < len(seqs.d_seq) else "",
-                 repr(float((s_star - seqs.r_seq[n]) * eta))]
-                for n in range(len(seqs.a_seq))]
-    else:
-        raise ValueError(f"unknown system {system!r}")
+    s_star = bounds_mod.majorizing_roots(a).s_star if a <= 0.5 else float("nan")
+    seqs, r = bounds_mod.bound_sequences(a, N, system)
+    # the Newton system has no b_n and c_n; a cell past a sequence's end is empty
+    columns = [seqs.a_seq, getattr(seqs, "b_seq", ()), getattr(seqs, "c_seq", ()),
+               seqs.d_seq, r, seqs.d_seq * eta, (s_star - r) * eta]
+    rows = [[n] + [repr(float(col[n])) if n < len(col) else "" for col in columns]
+            for n in range(len(seqs.a_seq))]
     res.tables["table"] = (
         ["n", "a_n", "b_n", "c_n", "d_n", "r_n", "d_n_eta", "tail_eta"], rows)
     res.metadata = {"k2": k2, "B": B, "eta": eta, "a": a, "system": system,

@@ -93,6 +93,10 @@ class IterationTrace:
 
 
 # -- method descriptions -----------------------------------------------------
+#
+# Each iterative method's start(problem, x0, trace) returns its step
+# (x, F(x)) -> x_new; whatever the method keeps between steps lives in that
+# closure.  The steps call the public step functions below.
 
 @dataclass(frozen=True)
 class Bisection:
@@ -104,25 +108,58 @@ class Bisection:
 class FixedSlope:
     c: float
 
+    def start(self, problem, x0, trace):
+        return lambda x, fx: x - self.c * fx
+
 
 @dataclass(frozen=True)
 class DampedFirstOrder:
     lam: float
 
+    def start(self, problem, x0, trace):
+        J0 = problem.jac(x0)
+
+        def step(x, fx):
+            dx = solve_linear(J0, fx)
+            if problem.dimension == 1:
+                ratio = abs(self.lam * problem.jac(x)[0, 0] / J0[0, 0])
+                if not 0.0 < ratio < 2.0:
+                    msg = f"damping contract violated: |lam f'(x)/f'(x0)| = {ratio:.3g}"
+                    if msg not in trace.warnings:
+                        trace.warnings.append(msg)
+            return x - self.lam * dx
+
+        return step
+
 
 @dataclass(frozen=True)
 class Newton:
-    pass
+    def start(self, problem, x0, trace):
+        return lambda x, fx: newton_step(problem, x, fx=fx)
 
 
 @dataclass(frozen=True)
 class Secant:
     x_prev: object  # a point of the problem's dimension (scalar when m = 1)
 
+    def start(self, problem, x0, trace):
+        x_prev, f_prev = as_point(self.x_prev, problem.dimension), None
+
+        def step(x, fx):
+            nonlocal x_prev, f_prev
+            x_new = secant_step(problem, x_prev, x, fx=fx, fx_prev=f_prev)
+            x_prev, f_prev = x, fx
+            return x_new
+
+        return step
+
 
 @dataclass(frozen=True)
 class Steffensen:
     dd: DividedDifference = DividedDifference("componentwise")
+
+    def start(self, problem, x0, trace):
+        return lambda x, fx: steffensen_step(problem, x, self.dd, fx=fx)
 
 
 @dataclass(frozen=True)
@@ -130,10 +167,18 @@ class DampedSteffensen:
     lam: float
     dd: DividedDifference = DividedDifference("componentwise")
 
+    def start(self, problem, x0, trace):
+        scale = damping_scale(problem, x0)
+        return lambda x, fx: damped_steffensen_step(
+            problem, x, self.lam, x0, self.dd, fx=fx, scale=scale)
+
 
 @dataclass(frozen=True)
 class HFamily:
     h: Callable = None  # adimensional correction factor h(L)
+
+    def start(self, problem, x0, trace):
+        return lambda x, fx: h_family_step(problem, x, self.h, fx=fx)
 
 
 @dataclass(frozen=True)
@@ -265,110 +310,55 @@ def solve(problem: Problem, method, x0, stop: StoppingCriteria) -> IterationTrac
     counts = {"f": 0, "jac": 0}
     p = _counting_copy(problem, counts)
     trace = IterationTrace(used_fd_jacobian=not problem.has_analytic_jacobian())
-
-    if isinstance(method, Bisection):
-        _solve_bisection(p, method, stop, trace)
-        trace.n_evals = counts["f"]
-        trace.n_jac_evals = counts["jac"]
-        return trace
-
-    x = as_point(x0, problem.dimension)
-    state = {"x_prev": None, "f_prev": None}
-    if isinstance(method, Secant):
-        state["x_prev"] = as_point(method.x_prev, problem.dimension)
-    if isinstance(method, DampedSteffensen):
-        state["x0"] = x.copy()
-
-    def one_step(x, fx):
-        if isinstance(method, Newton):
-            return newton_step(p, x, fx=fx)
-        if isinstance(method, Steffensen):
-            return steffensen_step(p, x, method.dd, fx=fx)
-        if isinstance(method, DampedSteffensen):
-            if "scale" not in state:
-                state["scale"] = damping_scale(p, state["x0"])
-            return damped_steffensen_step(p, x, method.lam, state["x0"],
-                                          method.dd, fx=fx,
-                                          scale=state["scale"])
-        if isinstance(method, Secant):
-            x_new = secant_step(p, state["x_prev"], x, fx=fx,
-                                fx_prev=state["f_prev"])
-            state["x_prev"], state["f_prev"] = x, fx
-            return x_new
-        if isinstance(method, FixedSlope):
-            return x - method.c * fx
-        if isinstance(method, DampedFirstOrder):
-            step = solve_linear(state["J0"], fx)
-            if problem.dimension == 1:
-                ratio = abs(method.lam * p.jac(x)[0, 0] / state["J0"][0, 0])
-                if not 0.0 < ratio < 2.0:
-                    msg = f"damping contract violated: |lam f'(x)/f'(x0)| = {ratio:.3g}"
-                    if msg not in trace.warnings:
-                        trace.warnings.append(msg)
-            return x - method.lam * step
-        if isinstance(method, HFamily):
-            return h_family_step(p, x, method.h, fx=fx)
-        raise TypeError(f"unknown method {method!r}")
-
     try:
-        fx = p.evaluate(x)
-        if isinstance(method, DampedFirstOrder):
-            state["J0"] = p.jac(x)
+        if isinstance(method, Bisection):
+            trace.status = _solve_bisection(p, method, stop, trace)
+        else:
+            trace.status = _solve_iterative(p, method, x0, stop, trace)
+    except SingularOperatorError:
+        trace.status = "singular-operator"
     except DomainError:
-        trace.iterates.append(x)
-        trace.residual_norms.append(float("nan"))
         trace.status = "domain-failure"
-        trace.n_evals = counts["f"]
-        trace.n_jac_evals = counts["jac"]
-        return trace
-
-    res = p.vector_norm(fx)
-    trace.iterates.append(x.copy())
-    trace.residual_norms.append(res)
-    min_res = res
-    status = "max-iter"
-
-    for _ in range(stop.max_iter):
-        try:
-            x_new = one_step(x, fx)
-            fx = p.evaluate(x_new)
-        except SingularOperatorError:
-            status = "singular-operator"
-            break
-        except DomainError:
-            status = "domain-failure"
-            break
-        res_new = p.vector_norm(fx)
-        step_norm = p.vector_norm(x_new - x)
-        trace.iterates.append(x_new.copy())
-        trace.residual_norms.append(res_new)
-        trace.step_norms.append(step_norm)
-        x = x_new
-        min_res = min(min_res, res_new)
-        if res_new <= stop.residual_tol:
-            status = "converged-by-residual"
-            break
-        if step_norm <= stop.step_tol:
-            status = "converged-by-step"
-            break
-        if (np.linalg.norm(x) > DIVERGENCE_NORM
-                or res_new > DIVERGENCE_RESIDUAL_GROWTH * max(min_res, 1e-300)):
-            status = "diverged"
-            break
-
-    trace.status = status
     trace.n_evals = counts["f"]
     trace.n_jac_evals = counts["jac"]
     return trace
 
 
+def _solve_iterative(p: Problem, method, x0, stop: StoppingCriteria,
+                     trace: IterationTrace) -> str:
+    """Iterate method's step from x0, recording each accepted iterate."""
+    x = as_point(x0, p.dimension)
+    trace.iterates.append(x.copy())
+    trace.residual_norms.append(float("nan"))  # until F(x0) is known
+    fx = p.evaluate(x)
+    trace.residual_norms[0] = min_res = p.vector_norm(fx)
+    step = method.start(p, x, trace)
+    for _ in range(stop.max_iter):
+        x_new = step(x, fx)
+        fx = p.evaluate(x_new)
+        res = p.vector_norm(fx)
+        step_norm = p.vector_norm(x_new - x)
+        trace.iterates.append(x_new.copy())
+        trace.residual_norms.append(res)
+        trace.step_norms.append(step_norm)
+        x = x_new
+        min_res = min(min_res, res)
+        if res <= stop.residual_tol:
+            return "converged-by-residual"
+        if step_norm <= stop.step_tol:
+            return "converged-by-step"
+        if (np.linalg.norm(x) > DIVERGENCE_NORM
+                or res > DIVERGENCE_RESIDUAL_GROWTH * max(min_res, 1e-300)):
+            return "diverged"
+    return "max-iter"
+
+
 def _solve_bisection(p: Problem, method: Bisection, stop: StoppingCriteria,
-                     trace: IterationTrace) -> None:
+                     trace: IterationTrace) -> str:
     """Scalar interval bisection recording midpoints; ties toward lo."""
     if p.dimension != 1:
-        trace.status = "domain-failure"
         trace.warnings.append("bisection is scalar-only")
-        return
+        return "domain-failure"
     lo, hi = float(method.lo), float(method.hi)
     flo = p.evaluate([lo])[0]
     fhi = p.evaluate([hi])[0]
@@ -377,14 +367,12 @@ def _solve_bisection(p: Problem, method: Bisection, stop: StoppingCriteria,
     elif fhi == 0.0:
         lo = hi
     elif flo * fhi > 0.0:
-        trace.status = "domain-failure"
         trace.warnings.append("bracket does not change sign")
-        return
+        return "domain-failure"
     mid = 0.5 * (lo + hi)
     fmid = p.evaluate([mid])[0]
     trace.iterates.append(np.array([mid]))
     trace.residual_norms.append(abs(fmid))
-    status = "max-iter"
     for _ in range(stop.max_iter):
         if fmid == 0.0 or flo * fmid <= 0.0:
             hi = mid
@@ -398,12 +386,10 @@ def _solve_bisection(p: Problem, method: Bisection, stop: StoppingCriteria,
         trace.residual_norms.append(abs(fmid))
         trace.step_norms.append(step)
         if abs(fmid) <= stop.residual_tol:
-            status = "converged-by-residual"
-            break
+            return "converged-by-residual"
         if step <= stop.step_tol:
-            status = "converged-by-step"
-            break
-    trace.status = status
+            return "converged-by-step"
+    return "max-iter"
 
 
 # -- scale-invariant Steffensen ----------------------------------------------

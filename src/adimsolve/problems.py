@@ -15,6 +15,8 @@ from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
 FD_STEP = 1e-7
 RCOND_FLOOR = 1e-14
+K2_SAMPLES = 24     # random points sample_k2 adds to the center and axis points
+K2_DELTA = 1e-5     # sample_k2's central-difference step on the Jacobian
 
 
 class DomainError(Exception):
@@ -268,15 +270,14 @@ class KantorovichData:
 
 
 def kantorovich_data(problem: Problem, x0, mode: str = "newton",
-                     k2: Optional[float] = None,
-                     radius: Optional[float] = None) -> KantorovichData:
+                     k2: Optional[float] = None) -> KantorovichData:
     """Compute (K2, B, eta, a) at x0.
 
     mode="newton": eta bounds ||F'(x0)^-1 F(x0)||.
     mode="asis":   eta = B * ||F(x0)||.
     K2 is taken explicit (argument, then problem.k2) or estimated as the max
     of finite-difference Jacobian-variation norms sampled over the ball
-    B(x0, radius), default radius 2*eta.  F'(x0) is factored once, for B
+    B(x0, 2*eta).  F'(x0) is factored once, for B
     and eta, and rejected as singular as in factor_nonsingular.
     """
     if mode not in ("newton", "asis"):
@@ -295,19 +296,18 @@ def kantorovich_data(problem: Problem, x0, mode: str = "newton",
     if k2 is None:
         k2 = problem.k2
     if k2 is None:
-        R = 2.0 * eta if radius is None else radius
-        k2 = sample_k2(problem, x0, R)
+        k2 = sample_k2(problem, x0, 2.0 * eta)
     return KantorovichData(k2=float(k2), B=float(B), eta=float(eta))
 
 
-def sample_k2(problem: Problem, x0, radius: float, n_samples: int = 24,
-              delta: float = 1e-5) -> float:
+def sample_k2(problem: Problem, x0, radius: float) -> float:
     """Max sampled ||F''|| proxy over the ball B(x0, radius).
 
     The proxy at x is the largest operator norm of the per-coordinate
     finite-difference variation of the Jacobian; the m variations at x
     go to operator_norm as one stack.  Deterministic sample set:
-    center, axis points at the full radius, and a fixed seeded cloud.
+    center, axis points at the full radius, and a fixed seeded cloud of
+    K2_SAMPLES points; the difference step is K2_DELTA.
     """
     x0 = as_point(x0, problem.dimension)
     m = problem.dimension
@@ -317,15 +317,15 @@ def sample_k2(problem: Problem, x0, radius: float, n_samples: int = 24,
         pts.append(x0 + e)
         pts.append(x0 - e)
     rng = np.random.default_rng(20240817)
-    for _ in range(n_samples):
+    for _ in range(K2_SAMPLES):
         u = rng.standard_normal(m)
         u /= max(np.linalg.norm(u), 1e-30)
         pts.append(x0 + radius * rng.uniform(0.0, 1.0) * u)
-    steps = delta * np.eye(m)
+    steps = K2_DELTA * np.eye(m)
     best = 0.0
     for x in pts:
         D = np.array([problem.jac(x + e) - problem.jac(x - e) for e in steps])
-        D /= 2.0 * delta
+        D /= 2.0 * K2_DELTA
         best = max(best, float(problem.operator_norm(D).max()))
     return best
 

@@ -12,7 +12,7 @@ from adimsolve.problems import (AlreadyAtRootError, LinearScaling,
                                 SingularOperatorError, apply_scaling,
                                 builtin_problem)
 
-from conftest import linear_problem
+from conftest import linear_problem, random_quadratic_problem
 
 E = math.e
 
@@ -80,6 +80,16 @@ class TestAdimensionalize:
         form = adimensionalize(example3, [0.0, 0.0])
         Jg = form.g.jac(form.y0)
         assert np.allclose(Jg, -np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_analytic_g_jacobian_away_from_y0(self, m):
+        # a non-symmetric F' tells F'(x) T^-1 from its transposes
+        p = random_quadratic_problem(np.random.default_rng(m), m)
+        form = adimensionalize(p, np.zeros(m))
+        y = form.y0 + 0.1
+        x = form.to_original(y)
+        expected = p.jac(x) @ np.linalg.inv(form.T) / form.sigma
+        assert np.allclose(form.g.jac(y), expected, rtol=1e-12, atol=0.0)
 
 
 class TestAdimensionalPolynomial:

@@ -12,7 +12,7 @@ from adimsolve.methods import (ASIS, Bisection, DampedFirstOrder,
                                newton_step, secant_step, solve,
                                steffensen_step)
 from adimsolve.problems import (Problem, SingularOperatorError,
-                                builtin_problem)
+                                builtin_problem, solve_linear)
 
 from conftest import linear_problem, random_quadratic_problem, recording
 
@@ -131,6 +131,30 @@ class TestSolveDriver:
         assert trace.n_steps == 0
         assert trace.n_evals == 1
 
+    def test_singular_damping_scale_at_x0(self):
+        # F'(0) = 0 for x^2 - 4: the damped node is undefined before a step
+        trace = solve(quad_problem(), DampedSteffensen(lam=1.0), 0.0, STOP)
+        assert trace.status == "singular-operator"
+        assert [list(x) for x in trace.iterates] == [[0.0]]
+        assert trace.residual_norms == [4.0]
+        assert trace.step_norms == []
+
+    def test_domain_failure_at_x0_records_nan(self):
+        with np.errstate(invalid="ignore"):
+            trace = solve(Problem(f=np.log, jacobian=lambda x: 1.0 / x),
+                          Newton(), -1.0, STOP)
+        assert trace.status == "domain-failure"
+        assert [list(x) for x in trace.iterates] == [[-1.0]]
+        assert np.isnan(trace.residual_norms[0])
+
+    def test_non_finite_first_jacobian_keeps_the_residual(self):
+        # F(0) = 0 is finite, F'(0) is not: ||F(x0)|| stays on the trace
+        with np.errstate(divide="ignore"):
+            trace = solve(Problem(f=np.sqrt, jacobian=lambda x: 0.5 / np.sqrt(x)),
+                          DampedFirstOrder(lam=0.5), 0.0, StoppingCriteria())
+        assert trace.status == "domain-failure"
+        assert trace.residual_norms == [0.0]
+
     def test_newton_divergence_detected(self):
         trace = solve(atan_problem(), Newton(), 2.0,
                       StoppingCriteria(0.0, 1e-15, 200))
@@ -147,12 +171,48 @@ class TestSolveDriver:
         assert trace.status == "max-iter"
         assert trace.n_steps == 3
 
-    def test_solve_matches_single_steps(self, f1):
-        trace = solve(f1, Steffensen(), 0.6, STOP)
-        x = np.atleast_1d(0.6)
+    @pytest.mark.parametrize("problem,method", [
+        (problem, method) for problem in ("f1", "example3")
+        for method in ("fixed-slope", "damped-first-order", "newton", "secant",
+                       "steffensen", "steffensen-integral",
+                       "damped-steffensen", "h-family")
+        if problem == "f1" or method != "h-family"])  # the h-family is scalar
+    def test_solve_matches_single_steps(self, problem, method):
+        p = builtin_problem(problem)
+        x0 = np.full(p.dimension, 0.6 if p.dimension == 1 else 0.5)
+        x_prev = [x0 - 0.1]
+        integral = DividedDifference("integral")
+        J0 = p.jac(x0)
+        halley = lambda L: 1.0 / (1.0 - L / 2.0)
+
+        def secant(x):
+            x_new = secant_step(p, x_prev[0], x)
+            x_prev[0] = x
+            return x_new
+
+        described, plain = {
+            "fixed-slope": (FixedSlope(c=0.05),
+                            lambda x: x - 0.05 * p.evaluate(x)),
+            "damped-first-order": (
+                DampedFirstOrder(lam=0.8),
+                lambda x: x - 0.8 * solve_linear(J0, p.evaluate(x))),
+            "newton": (Newton(), lambda x: newton_step(p, x)),
+            "secant": (Secant(x_prev=x0 - 0.1), secant),
+            "steffensen": (Steffensen(), lambda x: steffensen_step(p, x)),
+            "steffensen-integral": (Steffensen(dd=integral),
+                                    lambda x: steffensen_step(p, x, integral)),
+            "damped-steffensen": (
+                DampedSteffensen(lam=0.7),
+                lambda x: damped_steffensen_step(p, x, 0.7, x0)),
+            "h-family": (HFamily(h=halley),
+                         lambda x: h_family_step(p, x, halley)),
+        }[method]
+        trace = solve(p, described, x0, StoppingCriteria(0.0, 1e-14, 8))
+        assert trace.n_steps >= 3
+        x = x0
         for x_next in trace.iterates[1:]:
-            x = steffensen_step(f1, x)
-            assert np.allclose(x, x_next, rtol=0, atol=0)
+            x = plain(x)
+            assert np.array_equal(x, x_next)
 
     def test_evaluation_counts(self):
         for name, x0 in (("f1", 0.5), ("example3", [0.0, 0.0])):
@@ -251,6 +311,21 @@ class TestBisection:
     def test_bad_bracket(self):
         trace = solve(quad_problem(), Bisection(lo=3.0, hi=5.0), None, STOP)
         assert trace.status == "domain-failure"
+
+    def test_non_finite_value_at_a_bracket_end(self):
+        with np.errstate(divide="ignore"):
+            trace = solve(Problem(f=lambda x: np.log(x) + 1.0),
+                          Bisection(lo=0.0, hi=2.0), None, StoppingCriteria())
+        assert trace.status == "domain-failure"
+        assert trace.iterates == []
+        assert trace.n_evals == 1
+
+    def test_non_finite_value_at_a_midpoint(self):
+        p = Problem(f=lambda x: np.nan if x == 0.75 else x - 0.6)
+        trace = solve(p, Bisection(lo=0.0, hi=2.0), None, StoppingCriteria())
+        assert trace.status == "domain-failure"
+        assert [x[0] for x in trace.iterates] == [1.0, 0.5]
+        assert trace.n_evals == 5
 
 
 class TestTraceSerialization:
