@@ -10,13 +10,29 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor
+from scipy.linalg.lapack import dgetrs
 
 from .problems import (AlreadyAtRootError, Problem, RCOND_FLOOR,
-                       SingularOperatorError, as_point, rcond)
+                       SingularOperatorError, all_finite, as_point, as_vector,
+                       rcond)
 
 NORMALIZATION_TOL = 1e-12   # allowed | ||G(y0)|| - 1 |
 DERIVATIVE_TOL = 1e-8       # allowed ||G'(y0) + I||, G' by finite differences
+# Central-difference step of that check, ~eps^(1/3): its rounding noise,
+# ~eps/step, stays far below DERIVATIVE_TOL at m = 100, where the step of
+# fd_jacobian (1e-7) leaves ~1e-8 and rejected sound forms.
+CHECK_FD_STEP = 1e-5
+
+
+def lu_solve(lu_and_piv, b, trans: int = 0) -> np.ndarray:
+    """x with T x = b (trans=1: T^T x = b) from T's LU factors (lu, piv):
+    LAPACK getrs, the routine and call scipy.linalg.lu_solve makes, with
+    its check that b is finite but without its batching and dispatch."""
+    lu, piv = lu_and_piv
+    if not all_finite(b):
+        raise ValueError("array must not contain infs or NaNs")
+    return dgetrs(lu, piv, b, trans=trans)[0]
 
 
 @dataclass(frozen=True)
@@ -65,15 +81,13 @@ def adimensionalize(problem: Problem, x0) -> AdimensionalForm:
     lu = lu_factor(T)
 
     def g_eval(y):
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        x = lu_solve(lu, y)
+        x = lu_solve(lu, as_vector(y))
         return problem.evaluate(x) / sigma
 
     g_jac = None
     if problem.has_analytic_jacobian():
         def g_jac(y):
-            y = np.atleast_1d(np.asarray(y, dtype=float))
-            x = lu_solve(lu, y)
+            x = lu_solve(lu, as_vector(y))
             # G'(y) = F'(x) T^{-1} / sigma, transposed: T^{-T} F'(x)^T
             # from T's LU
             Jf = problem.jac(x)
@@ -108,8 +122,14 @@ def check_normalization(obj) -> dict:
     form: AdimensionalForm = obj
     g, y0 = form.g, form.y0
     value_res = abs(g.vector_norm(g.evaluate(y0)) - 1.0)
-    Jg = g.fd_jacobian(y0)
-    deriv_res = g.operator_norm(Jg + np.eye(g.dimension))
+    # G'(y0) by central differences with an absolute step: y is measured in
+    # Newton steps at y0, whatever |y0| is, and a step relative to |y0|
+    # would put truncation error into the check
+    m = g.dimension
+    Jg = np.empty((m, m))
+    for j, e in enumerate(CHECK_FD_STEP * np.eye(m)):
+        Jg[:, j] = (g.evaluate(y0 + e) - g.evaluate(y0 - e)) / (2.0 * CHECK_FD_STEP)
+    deriv_res = g.operator_norm(Jg + np.eye(m))
     return {"value_residual": float(value_res),
             "derivative_residual": float(deriv_res)}
 

@@ -85,18 +85,19 @@ def componentwise_dd(problem: Problem, x, y, fx=None, fy=None) -> np.ndarray:
 
     def f_at(k):
         if fz[k] is None:
-            fz[k] = problem.evaluate(np.concatenate([y[:k], x[k:]]))
+            fz[k] = problem.evaluate(np.concatenate([y[:k], x[k:]]) if k else x)
         return fz[k]
 
     H = np.empty((m, m))
     jac = None
-    for j in range(m):
-        if _coincident(x[j], y[j]):
+    # Python floats: the same IEEE arithmetic as numpy scalars, at less cost
+    for j, (xj, yj) in enumerate(zip(x.tolist(), y.tolist())):
+        if _coincident(xj, yj):
             if jac is None:
                 jac = problem.jac(x)
             H[:, j] = jac[:, j]
             continue
-        H[:, j] = (f_at(j + 1) - f_at(j)) / (y[j] - x[j])
+        H[:, j] = (f_at(j + 1) - f_at(j)) / (yj - xj)
     return H
 
 

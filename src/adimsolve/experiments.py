@@ -105,14 +105,14 @@ class ExperimentResult:
         return written
 
 
-def _log10_error_table(traces: Dict[str, IterationTrace], root) -> Tuple[List[str], List[list]]:
-    errs = {tag: tr.errors(root) for tag, tr in traces.items()}
+def _log10_error_table(errs: Dict[str, np.ndarray]) -> Tuple[List[str], List[list]]:
+    """log10 of each curve's errors ||x_n - root||, one column per tag."""
     n_max = max(len(e) for e in errs.values())
-    header = ["n"] + [f"log10_err_{tag}" for tag in traces]
+    header = ["n"] + [f"log10_err_{tag}" for tag in errs]
     rows = []
     for n in range(n_max):
         row = [n]
-        for tag in traces:
+        for tag in errs:
             e = errs[tag]
             row.append(repr(math.log10(max(e[n], 1e-300))) if n < len(e) else "")
         rows.append(row)
@@ -150,12 +150,12 @@ def run_example1(stop: Optional[StoppingCriteria] = None) -> ExperimentResult:
     res.traces["asis"] = asis.x_trace
     res.traces["asis_adimensional"] = asis.y_trace
     root = 1.0
-    curves = {k: res.traces[k] for k in ("newton", "steffensen", "asis")}
-    res.tables["log_errors"] = _log10_error_table(curves, root)
-
     e_newton = res.traces["newton"].errors(root)
     e_steff = res.traces["steffensen"].errors(root)
     e_asis = res.traces["asis"].errors(root)
+    res.tables["log_errors"] = _log10_error_table(
+        {"newton": e_newton, "steffensen": e_steff, "asis": e_asis})
+
     n_newton = _first_index_below(e_newton, 1e-15)
     n_steff = _first_index_below(e_steff, 1e-15)
     res.check("asis error <= newton error at every common index",
@@ -223,8 +223,7 @@ def run_example2() -> ExperimentResult:
     res.check("asis x-space errors on f2 are half of f1",
               bool(np.all(rel <= 1e-12)), f"max rel dev {rel.max():.2e}")
 
-    res.tables["steffensen_log_errors"] = _log10_error_table(
-        {"steffensen_f2": tr_steff}, 0.5)
+    res.tables["steffensen_log_errors"] = _log10_error_table({"steffensen_f2": err})
     return res
 
 
@@ -265,8 +264,7 @@ def run_example3() -> ExperimentResult:
               n_steff is not None and n_newton is not None
               and n_steff > n_newton, f"{n_steff} vs {n_newton}")
     res.tables["log_errors"] = _log10_error_table(
-        {"newton": tr_newton, "steffensen": tr_steff, "asis": asis.x_trace},
-        root)
+        {"newton": e_newton, "steffensen": e_steff, "asis": e_asis})
     return res
 
 

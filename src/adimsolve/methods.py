@@ -16,7 +16,7 @@ import numpy as np
 from .adimensional import AdimensionalForm, adimensionalize
 from .divdiff import DividedDifference
 from .problems import (DomainError, Problem, SingularOperatorError, as_point,
-                       solve_linear)
+                       euclidean_norm, solve_linear)
 
 DIVERGENCE_NORM = 1e12
 DIVERGENCE_RESIDUAL_GROWTH = 1e6
@@ -52,16 +52,19 @@ class IterationTrace:
 
     @property
     def x_final(self) -> np.ndarray:
+        if not self.iterates:
+            raise ValueError(f"no iterate recorded (status {self.status!r})")
         return self.iterates[-1]
 
     @property
     def n_steps(self) -> int:
-        return len(self.iterates) - 1
+        """Steps taken; 0 when no iterate was recorded."""
+        return max(len(self.iterates) - 1, 0)
 
     def errors(self, root) -> np.ndarray:
         """Norms ||x_n - root|| (Euclidean)."""
         root = np.atleast_1d(np.asarray(root, dtype=float))
-        return np.array([np.linalg.norm(x - root) for x in self.iterates])
+        return np.array([euclidean_norm(x - root) for x in self.iterates])
 
     def to_rows(self):
         rows = []
@@ -347,7 +350,7 @@ def _solve_iterative(p: Problem, method, x0, stop: StoppingCriteria,
             return "converged-by-residual"
         if step_norm <= stop.step_tol:
             return "converged-by-step"
-        if (np.linalg.norm(x) > DIVERGENCE_NORM
+        if (euclidean_norm(x) > DIVERGENCE_NORM
                 or res > DIVERGENCE_RESIDUAL_GROWTH * max(min_res, 1e-300)):
             return "diverged"
     return "max-iter"

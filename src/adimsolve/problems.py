@@ -7,11 +7,12 @@ Everything is immutable after construction and safe to share.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dlange
 
 FD_STEP = 1e-7
 RCOND_FLOOR = 1e-14
@@ -31,8 +32,24 @@ class AlreadyAtRootError(Exception):
     """F(x0) = 0, so quantities scaled by ||F(x0)|| are undefined."""
 
 
+# The helpers below sit on every evaluation, so they skip numpy's per-call
+# dispatch where it does nothing: same results, same objects, same checks.
+
+def as_vector(v) -> np.ndarray:
+    """np.atleast_1d(np.asarray(v, dtype=float)): a float64 array of one or
+    more dimensions is returned as it is, anything else is converted."""
+    if type(v) is not np.ndarray or v.dtype != np.float64:
+        v = np.asarray(v, dtype=float)
+    return v if v.ndim else v.reshape(1)
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """np.isfinite(a).all(), counted rather than reduced."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
 def as_point(x, m: int) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = as_vector(x)
     if x.shape != (m,):
         raise ValueError(f"expected point of dimension {m}, got shape {x.shape}")
     return x
@@ -68,13 +85,12 @@ class Problem:
 
     def evaluate(self, x) -> np.ndarray:
         x = as_point(x, self.dimension)
-        if not np.all(np.isfinite(x)):
+        if not all_finite(x):
             raise DomainError("non-finite input point")
-        fx = np.atleast_1d(np.asarray(self.f(x if self.dimension > 1 else x[0]),
-                                      dtype=float))
+        fx = as_vector(self.f(x if self.dimension > 1 else x[0]))
         if fx.shape != (self.dimension,):
             raise ValueError("evaluator output has wrong dimension")
-        if not np.all(np.isfinite(fx)):
+        if not all_finite(fx):
             raise DomainError("domain failure: non-finite value of F")
         return fx
 
@@ -87,7 +103,7 @@ class Problem:
                 raise ValueError("Jacobian has wrong shape")
         else:
             J = self.fd_jacobian(x)
-        if not np.all(np.isfinite(J)):
+        if not all_finite(J):
             raise DomainError("domain failure: non-finite Jacobian")
         return J
 
@@ -118,9 +134,9 @@ class Problem:
     # -- norms --------------------------------------------------------------
 
     def vector_norm(self, v) -> float:
-        v = np.atleast_1d(np.asarray(v, dtype=float))
+        v = as_vector(v)
         if self.norm == "euclidean":
-            return float(np.linalg.norm(v))
+            return euclidean_norm(v)
         return float(np.linalg.norm(v, np.inf))
 
     def operator_norm(self, A):
@@ -135,6 +151,14 @@ class Problem:
 
     def has_analytic_jacobian(self) -> bool:
         return self.jacobian is not None
+
+
+def euclidean_norm(v: np.ndarray) -> float:
+    """||v||_2 of a real array, computed as np.linalg.norm computes it (the
+    square root of the dot product of the flattened array), so the bits are
+    the same, without its dispatch."""
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 def spectral_norm(A: np.ndarray, tol: float = 1e-12, max_sweeps: int = 200):
@@ -194,11 +218,16 @@ def factor_nonsingular(A: np.ndarray):
 
     Raises when the factorization hits an exactly zero pivot or when the
     LAPACK 1-norm reciprocal condition estimate (gecon) is below 1e-14.
+    ||A||_1 comes from LAPACK lange, which sums each column in order.  For
+    a C-ordered A (the step operators, and Jacobians built row by row) that
+    is bit for bit np.abs(A).sum(axis=0).max(); numpy sums a column that is
+    contiguous in memory pairwise, so for other layouts at m >= 9 the two
+    can differ in the last bits, and the estimate with them.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     lu, piv, info = dgetrf(A)
     if info == 0:
-        rc, info = dgecon(lu, np.abs(A).sum(axis=0).max(), norm="1")
+        rc, info = dgecon(lu, dlange("1", A), norm="1")
     if info != 0 or not rc >= RCOND_FLOOR:
         raise SingularOperatorError("singular linear operator (rcond < 1e-14)")
     return lu, piv
@@ -208,7 +237,7 @@ def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dense solve through one LU factorization, singular operators
     rejected as in factor_nonsingular."""
     lu, piv = factor_nonsingular(A)
-    return dgetrs(lu, piv, np.atleast_1d(np.asarray(b, dtype=float)))[0]
+    return dgetrs(lu, piv, as_vector(b))[0]
 
 
 # -- linear rescalings ------------------------------------------------------

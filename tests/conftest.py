@@ -56,6 +56,21 @@ def random_quadratic_problem(rng, m):
     return Problem(f=f, jacobian=jac, dimension=m, name="rand-quadratic")
 
 
+def h_equation_problem(m, c):
+    """Chandrasekhar H-equation F(x)_i = x_i - 1/(1 - (c/2m) sum_j
+    mu_i x_j/(mu_i + mu_j)), mu_i = (i - 1/2)/m; start x0 = (1, ..., 1)."""
+    mu = (np.arange(1, m + 1) - 0.5) / m
+    A = c * mu[:, None] / (2.0 * m * (mu[:, None] + mu[None, :]))
+    eye = np.eye(m)
+
+    def jac(x):
+        s = 1.0 - A @ x
+        return eye - A / (s * s)[:, None]
+
+    return Problem(f=lambda x: x - 1.0 / (1.0 - A @ x), jacobian=jac,
+                   dimension=m, name=f"H(m={m},c={c})")
+
+
 def recording(problem):
     """Copy of `problem` whose map and Jacobian log every argument they see:
     returns the copy and {"f": [points], "jac": [points]}."""

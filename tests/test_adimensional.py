@@ -1,18 +1,20 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adimsolve.adimensional import (AdimensionalPolynomial,
                                     adimensional_polynomial, adimensionalize,
                                     check_normalization)
-from adimsolve.problems import (AlreadyAtRootError, LinearScaling,
+from adimsolve.problems import (AlreadyAtRootError, LinearScaling, Problem,
                                 SingularOperatorError, apply_scaling,
                                 builtin_problem)
 
-from conftest import linear_problem, random_quadratic_problem
+from conftest import h_equation_problem, linear_problem, random_quadratic_problem
 
 E = math.e
 
@@ -90,6 +92,56 @@ class TestAdimensionalize:
         x = form.to_original(y)
         expected = p.jac(x) @ np.linalg.inv(form.T) / form.sigma
         assert np.allclose(form.g.jac(y), expected, rtol=1e-12, atol=0.0)
+
+
+    @pytest.mark.parametrize("problem, x0", [
+        (builtin_problem("f1"), [0.0]),
+        (builtin_problem("example3"), [0.3, -0.7]),
+        (random_quadratic_problem(np.random.default_rng(3), 3), np.zeros(3)),
+    ])
+    def test_g_values_are_those_of_scipy_lu_solve(self, problem, x0):
+        # G solves with LAPACK getrs on T's factors, as scipy's lu_solve does
+        form = adimensionalize(problem, x0)
+        for shift in (0.0, 0.05, -0.3):
+            y = form.y0 + shift
+            x = scipy.linalg.lu_solve(form._lu, y)
+            assert np.array_equal(form.to_original(y), x)
+            assert np.array_equal(form.g.evaluate(y),
+                                  problem.evaluate(x) / form.sigma)
+            Jg = scipy.linalg.lu_solve(form._lu, problem.jac(x).T, trans=1).T
+            assert np.array_equal(form.g.jac(y), Jg / form.sigma)
+
+    def test_back_transform_rejects_a_non_finite_point(self, example3):
+        form = adimensionalize(example3, [0.0, 0.0])
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            form.to_original([np.nan, 0.0])
+
+    @pytest.mark.parametrize("m", [10, 100])
+    def test_h_equation_form_is_accepted(self, m):
+        # the G'(y0) check's own difference step keeps its rounding noise
+        # far below the 1e-8 tolerance (fd_jacobian's 1e-7 left ~1.3e-8 at
+        # m = 100 and rejected this form)
+        form = adimensionalize(h_equation_problem(m, 0.78), np.ones(m))
+        assert check_normalization(form)["derivative_residual"] < 1e-9
+
+    @pytest.mark.parametrize("shift", [100.0, 1000.0])
+    def test_translated_form_is_accepted(self, shift):
+        # f1 moved by `shift`, from x0 = shift: |y0| ~ 0.58 shift, and a
+        # difference step relative to |y0| (1e-5 |y0|) would reject it
+        p = Problem(f=lambda x: np.exp(x - 1.0 - shift) - 1.0,
+                    jacobian=lambda x: np.exp(x - 1.0 - shift))
+        form = adimensionalize(p, shift)
+        assert abs(form.y0[0]) > 0.5 * shift
+        assert check_normalization(form)["derivative_residual"] < 1e-9
+
+    @pytest.mark.parametrize("m", [10, 100])
+    def test_jacobian_off_by_1e_7_in_one_entry_is_rejected(self, m):
+        p = h_equation_problem(m, 0.78)
+        E = np.zeros((m, m))
+        E[m // 2, 0] = 1e-7
+        wrong = dataclasses.replace(p, jacobian=lambda x: p.jacobian(x) + E)
+        with pytest.raises(ValueError, match=r"violates G'\(y0\) = -I"):
+            adimensionalize(wrong, np.ones(m))
 
 
 class TestAdimensionalPolynomial:

@@ -15,6 +15,23 @@ from conftest import linear_problem, random_quadratic_problem, recording
 F1_DD_ORACLE = 0.2726772679855246
 
 
+def reference_componentwise_dd(problem, x, y, fx=None, fy=None):
+    """The telescope on numpy scalars, every point built by concatenation."""
+    m = problem.dimension
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    fz = [fx] + [None] * (m - 1) + [fy]
+    H = np.empty((m, m))
+    for j in range(m):
+        if abs(y[j] - x[j]) < 1e-14 * max(1.0, abs(x[j])):
+            H[:, j] = problem.jac(x)[:, j]
+            continue
+        for k in (j, j + 1):
+            if fz[k] is None:
+                fz[k] = problem.evaluate(np.concatenate([y[:k], x[k:]]))
+        H[:, j] = (fz[j + 1] - fz[j]) / (y[j] - x[j])
+    return H
+
+
 def quad_problem():
     return Problem(f=lambda x: x * x - 4.0, jacobian=lambda x: 2.0 * x,
                    dimension=1, name="t^2-4")
@@ -85,6 +102,19 @@ class TestComponentwise:
         assert len(inner) == m - 1
         assert x.tobytes() not in inner and y.tobytes() not in inner
         assert np.array_equal(H_known, H)
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_matches_the_numpy_scalar_telescope_bit_for_bit(self, m):
+        rng = np.random.default_rng(20 + m)
+        p = random_quadratic_problem(rng, m)
+        for trial in range(12):
+            x = rng.uniform(-2.0, 2.0, m)
+            y = rng.uniform(-2.0, 2.0, m)
+            if trial % 3 == 0:
+                y[0] = x[0]     # a coincident column takes the Jacobian's
+            fx, fy = (p.evaluate(x), p.evaluate(y)) if trial % 2 else (None, None)
+            assert np.array_equal(componentwise_dd(p, x, y, fx, fy),
+                                  reference_componentwise_dd(p, x, y, fx, fy))
 
     def test_scalar_case_matches_scalar_dd(self, f1):
         H = componentwise_dd(f1, [0.0], [0.6])

@@ -311,6 +311,9 @@ class TestBisection:
     def test_bad_bracket(self):
         trace = solve(quad_problem(), Bisection(lo=3.0, hi=5.0), None, STOP)
         assert trace.status == "domain-failure"
+        assert trace.iterates == [] and trace.n_steps == 0
+        with pytest.raises(ValueError, match="no iterate.*domain-failure"):
+            trace.x_final
 
     def test_non_finite_value_at_a_bracket_end(self):
         with np.errstate(divide="ignore"):

@@ -1,16 +1,20 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dlange
 
+from adimsolve.methods import IterationTrace
 from adimsolve.problems import (AlreadyAtRootError, DomainError,
                                 LinearScaling, Problem,
                                 SingularOperatorError, apply_scaling,
-                                as_point, builtin_problem, kantorovich_data,
-                                sample_k2, solve_linear, spectral_norm)
+                                as_point, builtin_problem, euclidean_norm,
+                                kantorovich_data, sample_k2, solve_linear,
+                                spectral_norm)
 
 from conftest import linear_problem, random_quadratic_problem
 
@@ -33,6 +37,54 @@ class TestEvaluate:
     def test_dimension_mismatch(self, example3):
         with pytest.raises(ValueError):
             example3.evaluate([1.0])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("where, message", [
+        ("x", "non-finite input point"),
+        ("F", "domain failure: non-finite value of F"),
+        ("J", "domain failure: non-finite Jacobian"),
+    ])
+    def test_non_finite_values_raise_domain_error(self, where, message, m, bad):
+        poisoned = np.ones(m)
+        poisoned[-1] = bad
+        p = Problem(f=lambda x: poisoned if where == "F" else np.ones(m),
+                    jacobian=lambda x: (np.diag(poisoned) if where == "J"
+                                        else np.eye(m)),
+                    dimension=m)
+        x = poisoned if where == "x" else np.ones(m)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            p.jac(x) if where == "J" else p.evaluate(x)
+
+
+class TestAsPoint:
+    @pytest.mark.parametrize("x, m", [
+        ([0.5, -2.0], 2),
+        (0.25, 1),
+        (np.array([1, -3, 7]), 3),
+        (np.array([0.1, 2.5], dtype=np.float32), 2),
+        (np.array([0.1, 2.5]), 2),
+        (np.array(0.75), 1),
+        (np.arange(6.0)[::2], 3),
+        (np.array([1.5, -0.5], dtype=">f8"), 2),
+    ])
+    def test_same_values_dtype_and_aliasing_as_asarray(self, x, m):
+        reference = np.atleast_1d(np.asarray(x, dtype=float))
+        out = as_point(x, m)
+        assert out.dtype == np.float64 and out.shape == (m,)
+        assert np.array_equal(out, reference)
+        if isinstance(x, np.ndarray):
+            assert (out is x) == (reference is x)
+            assert np.shares_memory(out, x) == np.shares_memory(reference, x)
+
+    def test_float64_point_is_returned_as_it_is(self):
+        x = np.array([0.1, 2.5])
+        assert as_point(x, 2) is x
+
+    @pytest.mark.parametrize("x", [[1.0, 2.0, 3.0], [[1.0, 2.0]], 1.0])
+    def test_wrong_shape_raises(self, x):
+        with pytest.raises(ValueError, match="expected point of dimension 2"):
+            as_point(x, 2)
 
 
 class TestJacobian:
@@ -281,6 +333,24 @@ class TestNorms:
         A = np.array([[1.0, -2.0], [3.0, 0.5]])
         assert p.operator_norm(A) == 3.5
 
+    @pytest.mark.parametrize("m", [1, 2, 10, 400])
+    def test_euclidean_norms_match_numpy_bit_for_bit(self, m):
+        rng = np.random.default_rng(m)
+        p = Problem(f=lambda x: x, dimension=m)
+        spread = 10.0 ** rng.uniform(-150.0, 150.0, m)
+        for scale in (1e-160, 1e-150, 1.0, 1e150, 1e160):  # 1e160 overflows
+            for v in (scale * rng.standard_normal(m),
+                      scale * rng.standard_normal(2 * m)[::2],
+                      rng.standard_normal(m) * spread):
+                with np.errstate(over="ignore"):
+                    assert p.vector_norm(v) == np.linalg.norm(v)
+                    assert euclidean_norm(v) == np.linalg.norm(v)
+        iterates = [rng.standard_normal(m) * s for s in (1e-150, 1.0, 1e150)]
+        root = rng.standard_normal(m)
+        errors = IterationTrace(iterates=iterates).errors(root)
+        assert np.array_equal(errors,
+                              [np.linalg.norm(x - root) for x in iterates])
+
     def test_vector_norms(self):
         p_e = builtin_problem("example3")
         p_m = builtin_problem("example3", norm="max")
@@ -310,6 +380,15 @@ class TestSolveLinear:
     def test_singular_operators_raise(self, A):
         with pytest.raises(SingularOperatorError):
             solve_linear(A, np.ones(len(A)))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 9, 24, 100])
+    def test_gate_norm_is_numpys_one_norm_on_c_ordered_operators(self, m):
+        # factor_nonsingular hands LAPACK lange's ||A||_1 to gecon; on the
+        # C-ordered matrices the package builds it is numpy's value
+        rng = np.random.default_rng(m)
+        for _ in range(20):
+            A = rng.standard_normal((m, m)) * 10.0 ** rng.uniform(-8.0, 8.0, (m, m))
+            assert dlange("1", A) == np.abs(A).sum(axis=0).max()
 
     def test_ill_conditioned_above_the_floor_solves(self):
         x = solve_linear([[1.0, 0.0], [0.0, 1e-10]], [1.0, 1e-10])
