@@ -113,23 +113,31 @@ def check_normalization(obj) -> dict:
     """Residuals of the two normalization conditions.
 
     For an AdimensionalForm: | ||G(y0)|| - 1 | and ||G'(y0) + I|| with the
-    derivative taken by finite differences.  For an AdimensionalPolynomial:
+    derivative taken by central differences.  For an AdimensionalPolynomial:
     |q(0) - 1| and |q'(0) + 1|.
     """
     if isinstance(obj, AdimensionalPolynomial):
         return {"value_residual": abs(obj(0.0) - 1.0),
                 "derivative_residual": abs(obj.derivative(0.0) + 1.0)}
     form: AdimensionalForm = obj
-    g, y0 = form.g, form.y0
-    value_res = abs(g.vector_norm(g.evaluate(y0)) - 1.0)
-    # G'(y0) by central differences with an absolute step: y is measured in
-    # Newton steps at y0, whatever |y0| is, and a step relative to |y0|
-    # would put truncation error into the check
-    m = g.dimension
-    Jg = np.empty((m, m))
-    for j, e in enumerate(CHECK_FD_STEP * np.eye(m)):
-        Jg[:, j] = (g.evaluate(y0 + e) - g.evaluate(y0 - e)) / (2.0 * CHECK_FD_STEP)
-    deriv_res = g.operator_norm(Jg + np.eye(m))
+    p, T, sigma = form.problem, form.T, form.sigma
+    # G(y) = F(T^-1 y)/sigma, so both checks run on F in x-space about
+    # x_c = T^-1 y0, the point G(y0) evaluates
+    x_c = lu_solve(form._lu, form.y0)
+    value_res = abs(p.vector_norm(p.evaluate(x_c) / sigma) - 1.0)
+    # G'(y0) by central differences with an absolute step h in y (y is
+    # measured in Newton steps at y0, whatever |y0| is): the y-steps h e_j
+    # are the x-steps D = T^-1 (h I), all m from one solve.  x_c +- D
+    # rounds, so each column is compared with the step it represents,
+    # T S with S = X+ - X-, not with the nominal 2h e_j (Dennis & Schnabel,
+    # App. A): R = [(F(X+) - F(X-))/sigma + T S] / 2h is G'(y0) + I up to
+    # truncation and the rounding of F.
+    D = lu_solve(form._lu, CHECK_FD_STEP * np.eye(p.dimension))
+    # row j of X+ and X- is x_c +- D[:, j]
+    Xp, Xm = x_c + D.T, x_c - D.T
+    dF = np.array([p.evaluate(xp) - p.evaluate(xm) for xp, xm in zip(Xp, Xm)])
+    R = (dF.T / sigma + T @ (Xp - Xm).T) / (2.0 * CHECK_FD_STEP)
+    deriv_res = p.operator_norm(R)
     return {"value_residual": float(value_res),
             "derivative_residual": float(deriv_res)}
 

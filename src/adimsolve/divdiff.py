@@ -6,7 +6,8 @@ quadrature error) the interpolatory identity H(x - y) = F(x) - F(y).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -101,14 +102,22 @@ def componentwise_dd(problem: Problem, x, y, fx=None, fy=None) -> np.ndarray:
     return H
 
 
+@lru_cache(maxsize=32)
+def gauss_legendre_01(q: int) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """The q-node Gauss-Legendre rule moved to [0, 1], as tuples (theta, w)
+    of Python floats.  leggauss is an eigenvalue solve, so the rule is
+    computed once per q (the last 32 are kept); tuples, so no caller can
+    change the shared rule."""
+    nodes, weights = np.polynomial.legendre.leggauss(q)
+    return tuple((0.5 * (nodes + 1.0)).tolist()), tuple((0.5 * weights).tolist())
+
+
 def integral_dd(problem: Problem, x, y, q: int = DEFAULT_QUAD_NODES) -> np.ndarray:
     """Gauss-Legendre quadrature of F'(x + theta (y - x)) over theta in [0,1]."""
     m = problem.dimension
     x = as_point(x, m)
     y = as_point(y, m)
-    nodes, weights = np.polynomial.legendre.leggauss(q)
-    theta = 0.5 * (nodes + 1.0)
-    w = 0.5 * weights
+    theta, w = gauss_legendre_01(q)
     H = np.zeros((m, m))
     for t, wi in zip(theta, w):
         H += wi * problem.jac(x + t * (y - x))

@@ -16,7 +16,7 @@ import numpy as np
 from .adimensional import AdimensionalForm, adimensionalize
 from .divdiff import DividedDifference
 from .problems import (DomainError, Problem, SingularOperatorError, as_point,
-                       euclidean_norm, solve_linear)
+                       as_vector, euclidean_norm, solve_linear)
 
 DIVERGENCE_NORM = 1e12
 DIVERGENCE_RESIDUAL_GROWTH = 1e6
@@ -409,22 +409,34 @@ class AsisResult:
 def asis_solve(problem: Problem, x0, stop: StoppingCriteria,
                dd: DividedDifference = DividedDifference("componentwise")
                ) -> AsisResult:
-    """Steffensen on the adimensional form, iterates mapped back to x-space."""
+    """Steffensen on the adimensional form, iterates mapped back to x-space.
+
+    G(y) = F(T^-1 y)/sigma, and the F value behind each G evaluation is kept
+    under y: the residual at a back-transformed iterate is the F(x) that G
+    computed at the same x, so no point is evaluated twice.
+    """
     form = adimensionalize(problem, x0)
-    y_trace = solve(form.g, Steffensen(dd=dd), form.y0, stop)
+    f_at = {}
+
+    def g_eval(y):
+        y = as_vector(y)
+        fx = f_at[y.tobytes()] = problem.evaluate(form.to_original(y))
+        return fx / form.sigma
+
+    g = dataclasses.replace(form.g, f=g_eval)
+    y_trace = solve(g, Steffensen(dd=dd), form.y0, stop)
     x_trace = IterationTrace(status=y_trace.status,
                              n_evals=y_trace.n_evals,
                              n_jac_evals=y_trace.n_jac_evals,
                              used_fd_jacobian=y_trace.used_fd_jacobian,
                              warnings=list(y_trace.warnings))
     prev = None
-    for y, res in zip(y_trace.iterates, y_trace.residual_norms):
+    for y in y_trace.iterates:
         x = form.to_original(y)
+        fx = f_at.get(y.tobytes())    # None only at y0, when G failed there
         x_trace.iterates.append(x)
-        try:
-            x_trace.residual_norms.append(problem.vector_norm(problem.evaluate(x)))
-        except DomainError:
-            x_trace.residual_norms.append(float("nan"))
+        x_trace.residual_norms.append(
+            float("nan") if fx is None else problem.vector_norm(fx))
         if prev is not None:
             x_trace.step_norms.append(problem.vector_norm(x - prev))
         prev = x

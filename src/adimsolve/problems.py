@@ -43,6 +43,16 @@ def as_vector(v) -> np.ndarray:
     return v if v.ndim else v.reshape(1)
 
 
+def as_matrix(a) -> np.ndarray:
+    """np.atleast_2d(np.asarray(a, dtype=float)): a float64 array of two or
+    more dimensions is returned as it is, anything else is converted."""
+    if type(a) is not np.ndarray or a.dtype != np.float64:
+        a = np.asarray(a, dtype=float)
+    if a.ndim >= 2:
+        return a
+    return a[np.newaxis, :] if a.ndim else a.reshape(1, 1)
+
+
 def all_finite(a: np.ndarray) -> bool:
     """np.isfinite(a).all(), counted rather than reduced."""
     return np.count_nonzero(np.isfinite(a)) == a.size
@@ -97,8 +107,7 @@ class Problem:
     def jac(self, x) -> np.ndarray:
         x = as_point(x, self.dimension)
         if self.jacobian is not None:
-            J = np.atleast_2d(np.asarray(
-                self.jacobian(x if self.dimension > 1 else x[0]), dtype=float))
+            J = as_matrix(self.jacobian(x if self.dimension > 1 else x[0]))
             if J.shape != (self.dimension, self.dimension):
                 raise ValueError("Jacobian has wrong shape")
         else:
@@ -264,12 +273,12 @@ def apply_scaling(problem: Problem, s: LinearScaling) -> Problem:
     m = problem.dimension
 
     def f_scaled(x):
-        return k * np.atleast_1d(np.asarray(base_f(x * c), dtype=float))
+        return k * as_vector(base_f(x * c))
 
     jac_scaled = None
     if base_jac is not None:
         def jac_scaled(x):
-            return (k * c) * np.atleast_2d(np.asarray(base_jac(x * c), dtype=float))
+            return (k * c) * as_matrix(base_jac(x * c))
 
     d2_scaled = None
     if problem.d2f is not None:

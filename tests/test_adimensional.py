@@ -7,6 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adimsolve import adimensional
 from adimsolve.adimensional import (AdimensionalPolynomial,
                                     adimensional_polynomial, adimensionalize,
                                     check_normalization)
@@ -14,7 +15,8 @@ from adimsolve.problems import (AlreadyAtRootError, LinearScaling, Problem,
                                 SingularOperatorError, apply_scaling,
                                 builtin_problem)
 
-from conftest import h_equation_problem, linear_problem, random_quadratic_problem
+from conftest import (h_equation_problem, linear_problem,
+                      random_quadratic_problem, recording)
 
 E = math.e
 
@@ -133,6 +135,43 @@ class TestAdimensionalize:
         form = adimensionalize(p, shift)
         assert abs(form.y0[0]) > 0.5 * shift
         assert check_normalization(form)["derivative_residual"] < 1e-9
+
+    @pytest.mark.parametrize("shift", [1e4, 1e5])
+    def test_translated_form_is_accepted_where_y0_rounds_the_step(self, shift):
+        # |y0| ~ 0.58 shift: y0 +- 1e-5 rounds by ~1e-7 (1e4) and ~1e-6
+        # (1e5) of the step, which a quotient over the nominal 2h turns into
+        # a residual of 2.7e-8 and 6.1e-7; the check divides by the step
+        # x_c +- D actually represents
+        p = Problem(f=lambda x: np.exp(x - 1.0 - shift) - 1.0,
+                    jacobian=lambda x: np.exp(x - 1.0 - shift))
+        form = adimensionalize(p, shift)
+        assert check_normalization(form)["derivative_residual"] < 1e-9
+
+    @pytest.mark.parametrize("m", [1, 3, 10])
+    def test_form_costs_2m_plus_2_evaluations_and_one_jacobian(self, m):
+        # F(x0), F at x_c = T^-1 y0 for ||G(y0)||, and 2m difference points
+        p, calls = recording(h_equation_problem(m, 0.78) if m > 1
+                             else builtin_problem("f1"))
+        adimensionalize(p, np.ones(m) if m > 1 else 0.0)
+        assert len(calls["f"]) == 2 * m + 2
+        assert len(calls["jac"]) == 1
+
+    def test_lu_solve_calls_do_not_grow_with_m(self, monkeypatch):
+        n_calls = {"lu_solve": 0}
+        real = adimensional.lu_solve
+
+        def counting(*args, **kwargs):
+            n_calls["lu_solve"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(adimensional, "lu_solve", counting)
+        per_m = []
+        for m in (2, 3, 10, 30):
+            n_calls["lu_solve"] = 0
+            adimensionalize(h_equation_problem(m, 0.78), np.ones(m))
+            per_m.append(n_calls["lu_solve"])
+        # x_c and the m directions D, one solve each
+        assert per_m == [2, 2, 2, 2]
 
     @pytest.mark.parametrize("m", [10, 100])
     def test_jacobian_off_by_1e_7_in_one_entry_is_rejected(self, m):

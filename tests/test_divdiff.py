@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adimsolve.divdiff import (DividedDifference, componentwise_dd,
-                               integral_dd, scalar_dd, verify_interpolatory)
+                               gauss_legendre_01, integral_dd, scalar_dd,
+                               verify_interpolatory)
 from adimsolve.problems import Problem
 
 from conftest import linear_problem, random_quadratic_problem, recording
@@ -29,6 +30,17 @@ def reference_componentwise_dd(problem, x, y, fx=None, fy=None):
             if fz[k] is None:
                 fz[k] = problem.evaluate(np.concatenate([y[:k], x[k:]]))
         H[:, j] = (fz[j + 1] - fz[j]) / (y[j] - x[j])
+    return H
+
+
+def reference_integral_dd(problem, x, y, q):
+    """The quadrature with the Gauss-Legendre rule computed on every call."""
+    m = problem.dimension
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    nodes, weights = np.polynomial.legendre.leggauss(q)
+    H = np.zeros((m, m))
+    for t, wi in zip(0.5 * (nodes + 1.0), 0.5 * weights):
+        H += wi * problem.jac(x + t * (y - x))
     return H
 
 
@@ -158,6 +170,27 @@ class TestIntegral:
         x = np.array([0.8, -0.6])
         H = integral_dd(example3, x, x.copy())
         assert np.allclose(H, example3.jac(x), rtol=1e-13)
+
+    @pytest.mark.parametrize("m", [1, 3, 10])
+    @pytest.mark.parametrize("q", [2, 3, 8, 16])
+    def test_cached_rule_matches_leggauss_per_call_bit_for_bit(self, m, q):
+        rng = np.random.default_rng(10 * m + q)
+        p = random_quadratic_problem(rng, m)
+        x = rng.uniform(-1.0, 1.0, m)
+        y = rng.uniform(-1.0, 1.0, m)
+        for _ in range(2):  # the second call takes the rule from the cache
+            assert np.array_equal(integral_dd(p, x, y, q),
+                                  reference_integral_dd(p, x, y, q))
+
+    def test_cached_rule_cannot_be_changed_by_a_caller(self):
+        theta, w = gauss_legendre_01(8)
+        assert isinstance(theta, tuple) and isinstance(w, tuple)
+        with pytest.raises(TypeError):
+            theta[0] = 0.0
+        assert gauss_legendre_01(8) == (theta, w)
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        assert theta == tuple(0.5 * (nodes + 1.0))
+        assert w == tuple(0.5 * weights)
 
 
 class TestDispatcher:

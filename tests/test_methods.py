@@ -396,6 +396,50 @@ class TestAsis:
         assert res.x_trace.status.startswith("converged")
         assert np.allclose(res.x_trace.x_final, [1.0, -1.0], atol=1e-8)
 
+    def test_each_point_is_evaluated_once(self, example3):
+        # 2m + 2 = 6 for the form, then 1 + (m + 1) per step on G; the
+        # back-transform reuses the F(x) behind each G(y).  x0,
+        # x_c = T^-1 T x0 and G(y0) share the point (0, 0)
+        p, calls = recording(example3)
+        res = asis_solve(p, [0.0, 0.0], StoppingCriteria())
+        n = res.y_trace.n_steps
+        assert n == 7
+        assert len(calls["f"]) == 6 + 1 + 3 * n == 28
+        assert len(np.unique(np.array(calls["f"]), axis=0)) == 26
+        # the reported count is still that of the solve on G
+        assert res.x_trace.n_evals == res.y_trace.n_evals == 1 + 3 * n
+
+    @pytest.mark.parametrize("dd", ["componentwise", "integral"])
+    @pytest.mark.parametrize("name, x0", [("f1", [0.0]),
+                                          ("example3", [0.3, -0.7])])
+    def test_back_transform_is_that_of_evaluating_every_iterate(self, dd, name,
+                                                                x0):
+        p = builtin_problem(name)
+        res = asis_solve(p, x0, STOP, DividedDifference(dd))
+        xs = [res.form.to_original(y) for y in res.y_trace.iterates]
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(res.x_trace.iterates, xs))
+        assert res.x_trace.residual_norms == [
+            p.vector_norm(p.evaluate(x)) for x in xs]
+        assert res.x_trace.step_norms == [
+            p.vector_norm(b - a) for a, b in zip(xs, xs[1:])]
+
+    def test_a_failure_of_g_at_y0_leaves_a_nan_residual(self, f1):
+        # F fails from its 5th call on: after the form's 2m + 2 = 4 calls,
+        # at G(y0) in the solve
+        n_calls = [0]
+
+        def f(x):
+            n_calls[0] += 1
+            return np.nan if n_calls[0] > 4 else f1.f(x)
+
+        p = Problem(f=f, jacobian=f1.jacobian)
+        res = asis_solve(p, 0.0, STOP)
+        assert res.x_trace.status == "domain-failure"
+        assert np.isnan(res.x_trace.residual_norms[0])
+        assert np.array_equal(res.x_trace.iterates,
+                              [res.form.to_original(res.form.y0)])
+
 
 class TestStoppingCriteria:
     def test_negative_tolerance_rejected(self):

@@ -12,7 +12,8 @@ from adimsolve.methods import IterationTrace
 from adimsolve.problems import (AlreadyAtRootError, DomainError,
                                 LinearScaling, Problem,
                                 SingularOperatorError, apply_scaling,
-                                as_point, builtin_problem, euclidean_norm,
+                                as_matrix, as_point, builtin_problem,
+                                euclidean_norm,
                                 kantorovich_data, sample_k2, solve_linear,
                                 spectral_norm)
 
@@ -85,6 +86,49 @@ class TestAsPoint:
     def test_wrong_shape_raises(self, x):
         with pytest.raises(ValueError, match="expected point of dimension 2"):
             as_point(x, 2)
+
+
+class TestAsMatrix:
+    @pytest.mark.parametrize("a", [
+        [[1.0, 2.0], [3.0, 4.0]],
+        [0.5, -2.0],
+        0.25,
+        3,
+        np.float32(1.5),
+        np.array([[1, -3], [7, 2]]),
+        np.array([[0.1, 2.5], [1.0, 0.0]], dtype=np.float32),
+        np.array([[0.1, 2.5], [1.0, 0.0]]),
+        np.array(0.75),
+        np.array([0.1, 2.5]),
+        np.arange(12.0).reshape(3, 4)[:, ::2],
+        np.arange(6.0)[::2],
+        np.arange(4.0).reshape(2, 2).T,
+        np.array([[1.5, -0.5], [2.0, 1.0]], dtype=">f8"),
+    ])
+    def test_same_values_dtype_and_aliasing_as_atleast_2d(self, a):
+        reference = np.atleast_2d(np.asarray(a, dtype=float))
+        out = as_matrix(a)
+        assert out.dtype == np.float64 and out.shape == reference.shape
+        assert np.array_equal(out, reference)
+        assert out.strides == reference.strides
+        if isinstance(a, np.ndarray):
+            assert (out is a) == (reference is a)
+            assert np.shares_memory(out, a) == np.shares_memory(reference, a)
+
+    def test_float64_matrix_is_returned_as_it_is(self):
+        a = np.eye(3)
+        assert as_matrix(a) is a
+
+    def test_jacobian_and_scaled_maps_return_the_converted_values(self):
+        # float32 and scalar Jacobians, and lists from F, come back as float64
+        p = Problem(f=lambda v: [v[0] - 1.0, v[1]],
+                    jacobian=lambda v: np.eye(2, dtype=np.float32), dimension=2)
+        assert p.jac([0.0, 0.0]).dtype == np.float64
+        s = apply_scaling(p, LinearScaling(c=2.0, k=3.0))
+        assert np.array_equal(s.f(np.array([1.0, 1.0])), [3.0, 6.0])
+        assert np.array_equal(s.jacobian(np.zeros(2)), 6.0 * np.eye(2))
+        f1s = apply_scaling(builtin_problem("f1"), LinearScaling(c=2.0, k=3.0))
+        assert f1s.jac(0.5)[0, 0] == 6.0
 
 
 class TestJacobian:
