@@ -112,8 +112,9 @@ def adimensionalize(problem: Problem, x0) -> AdimensionalForm:
 def check_normalization(obj) -> dict:
     """Residuals of the two normalization conditions.
 
-    For an AdimensionalForm: | ||G(y0)|| - 1 | and ||G'(y0) + I|| with the
-    derivative taken by central differences.  For an AdimensionalPolynomial:
+    For an AdimensionalForm: | ||G(y0)|| - 1 |, judged at the point x_c
+    that G(y0) evaluates, and ||G'(y0) + I|| with the derivative taken by
+    central differences.  For an AdimensionalPolynomial:
     |q(0) - 1| and |q'(0) + 1|.
     """
     if isinstance(obj, AdimensionalPolynomial):
@@ -124,7 +125,12 @@ def check_normalization(obj) -> dict:
     # G(y) = F(T^-1 y)/sigma, so both checks run on F in x-space about
     # x_c = T^-1 y0, the point G(y0) evaluates
     x_c = lu_solve(form._lu, form.y0)
-    value_res = abs(p.vector_norm(p.evaluate(x_c) / sigma) - 1.0)
+    # the round trip y0 = T x0, x_c = T^-1 y0 moves x by rounding (an ulp
+    # of 1e6 changes F by ~1e-10 relative on exp(x - 1e6)); judge the value
+    # at the represented point: F(x_c)/sigma + T (x_c - x0) is F(x0)/sigma
+    # to first order
+    value_res = abs(p.vector_norm(p.evaluate(x_c) / sigma
+                                  + T @ (x_c - form.x0)) - 1.0)
     # G'(y0) by central differences with an absolute step h in y (y is
     # measured in Newton steps at y0, whatever |y0| is): the y-steps h e_j
     # are the x-steps D = T^-1 (h I), all m from one solve.  x_c +- D

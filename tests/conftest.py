@@ -41,6 +41,13 @@ def random_quadratic_problem(rng, m):
     Q = rng.uniform(-0.5, 0.5, (m, m, m))
     Q = (Q + np.swapaxes(Q, 1, 2)) / 2.0
     c = rng.uniform(-0.5, 0.5, m)
+    return quadratic_problem(A, Q, c)
+
+
+def quadratic_problem(A, Q, c):
+    """F_i(x) = (A x)_i + x^T Q_i x + c_i, Q_i symmetric: F'(x) = A + 2 Q x
+    and the constant F''(x)[u, v]_i = 2 u^T Q_i v."""
+    m = len(c)
 
     def f(x):
         x = np.atleast_1d(x)
@@ -56,11 +63,16 @@ def random_quadratic_problem(rng, m):
     return Problem(f=f, jacobian=jac, dimension=m, name="rand-quadratic")
 
 
+def h_equation_kernel(m, c):
+    """A_ij = (c/2m) mu_i/(mu_i + mu_j), mu_i = (i - 1/2)/m."""
+    mu = (np.arange(1, m + 1) - 0.5) / m
+    return c * mu[:, None] / (2.0 * m * (mu[:, None] + mu[None, :]))
+
+
 def h_equation_problem(m, c):
     """Chandrasekhar H-equation F(x)_i = x_i - 1/(1 - (c/2m) sum_j
     mu_i x_j/(mu_i + mu_j)), mu_i = (i - 1/2)/m; start x0 = (1, ..., 1)."""
-    mu = (np.arange(1, m + 1) - 0.5) / m
-    A = c * mu[:, None] / (2.0 * m * (mu[:, None] + mu[None, :]))
+    A = h_equation_kernel(m, c)
     eye = np.eye(m)
 
     def jac(x):

@@ -136,7 +136,7 @@ class TestAdimensionalize:
         assert abs(form.y0[0]) > 0.5 * shift
         assert check_normalization(form)["derivative_residual"] < 1e-9
 
-    @pytest.mark.parametrize("shift", [1e4, 1e5])
+    @pytest.mark.parametrize("shift", [1e4, 1e5, 1e6])
     def test_translated_form_is_accepted_where_y0_rounds_the_step(self, shift):
         # |y0| ~ 0.58 shift: y0 +- 1e-5 rounds by ~1e-7 (1e4) and ~1e-6
         # (1e5) of the step, which a quotient over the nominal 2h turns into
@@ -144,8 +144,24 @@ class TestAdimensionalize:
         # x_c +- D actually represents
         p = Problem(f=lambda x: np.exp(x - 1.0 - shift) - 1.0,
                     jacobian=lambda x: np.exp(x - 1.0 - shift))
-        form = adimensionalize(p, shift)
-        assert check_normalization(form)["derivative_residual"] < 1e-9
+        report = check_normalization(adimensionalize(p, shift))
+        assert report["derivative_residual"] < 1e-9
+        # at 1e6 the round trip x_c = T^-1 (T x0) misses x0 by an ulp,
+        # which moves F(x_c) by ~1e-10 relative: the value is judged at x_c
+        assert report["value_residual"] <= 1e-15
+
+    def test_sigma_off_by_1e_9_is_rejected(self, f1):
+        # F(x0) reads 1e-9 high on its first evaluation only, so sigma is
+        # off by 1e-9 relative while T, and so G'(y0), stay consistent
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return f1.f(x) * (1.0 + 1e-9 if len(calls) == 1 else 1.0)
+
+        p = dataclasses.replace(f1, f=f)
+        with pytest.raises(ValueError, match=r"violates \|\|G\(y0\)\|\| = 1"):
+            adimensionalize(p, 0.0)
 
     @pytest.mark.parametrize("m", [1, 3, 10])
     def test_form_costs_2m_plus_2_evaluations_and_one_jacobian(self, m):

@@ -12,7 +12,10 @@ from adimsolve.bounds import (HypothesesNotSatisfied, cubic_positive_roots,
                               newton_on_adim_poly, newton_rate,
                               newton_sequences, steffensen_on_adim_poly,
                               steffensen_sequences)
-from adimsolve.problems import KantorovichData
+from adimsolve.methods import Newton, StoppingCriteria, solve
+from adimsolve.problems import KantorovichData, kantorovich_data
+
+from conftest import h_equation_problem
 
 
 class TestNewtonSequences:
@@ -255,3 +258,22 @@ class TestErrorEnvelopes:
         data = KantorovichData(k2=1.0, B=1.0, eta=0.1)
         with pytest.raises(ValueError):
             error_envelopes(data, 5, system="halley")
+
+    def test_newton_envelope_of_sampled_k2_holds_on_the_h_equation(self):
+        # K2 sampled by kantorovich_data must bound F'' for the envelope to
+        # hold; the earlier per-axis proxy, max_j ||F''[e_j]||, under-read
+        # it (K2 0.055, a 0.18) and the second step, 0.252, broke its
+        # bound 0.228
+        m = 16
+        p = h_equation_problem(m, 0.9)
+        data = kantorovich_data(p, np.ones(m), mode="newton")
+        env = error_envelopes(data, 30)
+        stop = StoppingCriteria(step_tol=0.0, residual_tol=1e-13, max_iter=30)
+        trace = solve(p, Newton(), np.ones(m), stop)
+        assert trace.status.startswith("converged")
+        steps = np.asarray(trace.step_norms)
+        bounds = env.step_bounds[:len(steps)]
+        sizes = np.array([np.linalg.norm(x) for x in trace.iterates[1:]])
+        resolved = steps > 1e-12 * sizes
+        assert resolved.sum() >= 3
+        assert np.all(steps[resolved] <= bounds[resolved] * (1.0 + 1e-9))

@@ -17,7 +17,8 @@ from adimsolve.problems import (AlreadyAtRootError, DomainError,
                                 kantorovich_data, sample_k2, solve_linear,
                                 spectral_norm)
 
-from conftest import linear_problem, random_quadratic_problem
+from conftest import (h_equation_kernel, h_equation_problem, linear_problem,
+                      quadratic_problem, random_quadratic_problem)
 
 E = math.e
 # Kantorovich threshold for f1: a = 1/2 exactly when K2 = 1
@@ -277,7 +278,9 @@ def reference_spectral_norm(A, tol=1e-12, max_sweeps=200):
 
 
 def reference_sample_k2(problem, x0, radius, n_samples=24, delta=1e-5):
-    """sample_k2 as a loop: one operator norm per sample point and axis."""
+    """The per-slice K2 proxy as a loop: at each sample point, the largest
+    operator norm of one axis's Jacobian variation F''(x)[e_j].  It is a
+    lower bound on the norm of F''(x), and on sample_k2's bound."""
     x0 = as_point(x0, problem.dimension)
     m = problem.dimension
     pts = [x0]
@@ -302,16 +305,94 @@ def reference_sample_k2(problem, x0, radius, n_samples=24, delta=1e-5):
     return best
 
 
+def h_equation_second_derivative(m, c, x):
+    """The tensor H[i, j, k] = d^2 F_i / dx_j dx_k of h_equation_problem(m, c)
+    at x: -2 A_ij A_ik / (1 - (A x)_i)^3."""
+    A = h_equation_kernel(m, c)
+    s = 1.0 - A @ x
+    return -2.0 * A[:, :, None] * A[:, None, :] / (s ** 3)[:, None, None]
+
+
+def brute_force_bilinear_norm(H, starts=6, sweeps=100):
+    """sup ||H[u, v]||_2 over unit u and v, H[u, v]_i = sum_jk H[i,j,k] u_j v_k,
+    by alternating maximization (each half-step is a top singular vector)
+    from several random starts: a lower bound that meets the norm at the
+    best local maximum."""
+    m = H.shape[1]
+    rng = np.random.default_rng(5)
+    best = 0.0
+    for _ in range(starts):
+        u = rng.standard_normal(m)
+        u /= np.linalg.norm(u)
+        for _ in range(sweeps):
+            v = np.linalg.svd(np.einsum("ijk,j->ik", H, u))[2][0]
+            _, s, vt = np.linalg.svd(np.einsum("ijk,k->ij", H, v))
+            u = vt[0]
+        best = max(best, s[0])
+    return best
+
+
 class TestSampleK2:
     @pytest.mark.parametrize("norm", ["euclidean", "max"])
     @pytest.mark.parametrize("m", [1, 2, 8])
-    def test_matches_the_per_matrix_loop(self, m, norm):
+    def test_bounds_the_per_slice_loop_from_above(self, m, norm):
+        # the closed-form tensor bound is at least the largest per-axis
+        # slice norm, and is that norm at m = 1
         rng = np.random.default_rng(100 + m)
         p = dataclasses.replace(random_quadratic_problem(rng, m), norm=norm)
         x0 = rng.uniform(-0.5, 0.5, m)
         k2 = sample_k2(p, x0, 0.7)
-        assert k2 > 0.0
-        assert k2 == pytest.approx(reference_sample_k2(p, x0, 0.7), rel=1e-13)
+        old = reference_sample_k2(p, x0, 0.7)
+        assert old > 0.0
+        assert k2 >= old * (1.0 - 1e-13)
+        if m == 1:
+            assert k2 == old
+
+    @pytest.mark.parametrize("norm", ["euclidean", "max"])
+    @pytest.mark.parametrize("m", [1, 2, 8])
+    def test_quadratic_map_gets_the_norm_bound_of_its_constant_tensor(self, m, norm):
+        # F''(x)[u, v]_i = 2 u^T Q_i v everywhere, so D[j, i, k] = 2 Q[i, j, k]
+        rng = np.random.default_rng(200 + m)
+        A = rng.uniform(-1.0, 1.0, (m, m)) + 2.0 * np.eye(m)
+        Q = rng.uniform(-0.5, 0.5, (m, m, m))
+        Q = (Q + np.swapaxes(Q, 1, 2)) / 2.0
+        p = dataclasses.replace(
+            quadratic_problem(A, Q, rng.uniform(-0.5, 0.5, m)), norm=norm)
+        if norm == "max":
+            expected = np.abs(2.0 * Q).sum(axis=(1, 2)).max()
+        else:
+            expected = np.linalg.norm(2.0 * Q)
+        k2 = sample_k2(p, rng.uniform(-0.5, 0.5, m), 0.7)
+        assert k2 == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("m", [8, 16])
+    def test_h_equation_k2_bounds_the_true_norm_at_x0(self, m):
+        # the earlier per-axis proxy, max_j ||F''[e_j]||, read 0.055 at
+        # m = 16, below this norm (0.090)
+        x0 = np.ones(m)
+        p = h_equation_problem(m, 0.9)
+        true_norm = brute_force_bilinear_norm(
+            h_equation_second_derivative(m, 0.9, x0))
+        assert true_norm > 0.0
+        assert kantorovich_data(p, x0).k2 >= true_norm
+
+    def test_wrong_jacobian_shape_at_a_sample_point(self):
+        # right shape at x0 = (0.5, 0), 3x3 at the axis point (1.5, 0)
+        p = Problem(f=lambda x: np.array([x[0] ** 2, x[1]]),
+                    jacobian=lambda x: (np.array([[2.0 * x[0], 0.0],
+                                                  [0.0, 1.0]])
+                                        if x[0] < 1.0 else np.eye(3)),
+                    dimension=2)
+        with pytest.raises(ValueError, match="Jacobian has wrong shape"):
+            sample_k2(p, [0.5, 0.0], 1.0)
+
+    @pytest.mark.parametrize("norm", ["euclidean", "max"])
+    def test_finite_difference_jacobian(self, norm):
+        p = builtin_problem("example3", norm=norm)
+        fd = dataclasses.replace(p, jacobian=None)
+        k2 = sample_k2(fd, [0.3, -0.7], 0.5)
+        assert np.isfinite(k2)
+        assert k2 == pytest.approx(sample_k2(p, [0.3, -0.7], 0.5), rel=1e-4)
 
     def test_non_finite_jacobian_at_a_sample_point(self):
         # finite at x0 = (0.5, 0), NaN at the axis point (-0.5, 0)
