@@ -138,11 +138,16 @@ def check_normalization(obj) -> dict:
     # T S with S = X+ - X-, not with the nominal 2h e_j (Dennis & Schnabel,
     # App. A): R = [(F(X+) - F(X-))/sigma + T S] / 2h is G'(y0) + I up to
     # truncation and the rounding of F.
-    D = lu_solve(form._lu, CHECK_FD_STEP * np.eye(p.dimension))
-    # row j of X+ and X- is x_c +- D[:, j]
-    Xp, Xm = x_c + D.T, x_c - D.T
-    dF = np.array([p.evaluate(xp) - p.evaluate(xm) for xp, xm in zip(Xp, Xm)])
-    R = (dF.T / sigma + T @ (Xp - Xm).T) / (2.0 * CHECK_FD_STEP)
+    m = p.dimension
+    D = lu_solve(form._lu, CHECK_FD_STEP * np.eye(m))
+    # rows 2j and 2j + 1 of X are x_c +- D[:, j], all 2m points one checked
+    # stack of F evaluations
+    X, FX = np.empty((2 * m, m)), np.empty((2 * m, m))
+    X[0::2] = x_c + D.T
+    X[1::2] = x_c - D.T
+    p._evaluate_stack(X, FX)
+    R = ((FX[0::2] - FX[1::2]).T / sigma
+         + T @ (X[0::2] - X[1::2]).T) / (2.0 * CHECK_FD_STEP)
     deriv_res = p.operator_norm(R)
     return {"value_residual": float(value_res),
             "derivative_residual": float(deriv_res)}

@@ -74,32 +74,66 @@ def componentwise_dd(problem: Problem, x, y, fx=None, fy=None) -> np.ndarray:
     Column j is the difference quotient of F between the telescope points
     z_j = (y[:j], x[j:]) and z_{j+1}, so the columns telescope and the
     interpolatory identity holds exactly up to rounding.  Each z_k is
-    evaluated at most once; the endpoints z_0 = x and z_m = y not at all
-    when their values fx, fy are given, so a full operator costs m - 1 new
-    F evaluations.  Columns with y_j = x_j (to 1e-14 relative) take the
-    Jacobian column.
+    evaluated at most once, and the endpoints z_0 = x and z_m = y not at
+    all when their values fx, fy are given, so a full operator costs m - 1
+    new F evaluations.  The points to evaluate are one checked stack (at
+    m = 1 there is no inner point, and no stack), and the columns one
+    subtraction and one division over it.  Columns with y_j = x_j (to
+    1e-14 relative) take the Jacobian column, and a point only they would
+    use is not evaluated.
     """
     m = problem.dimension
     x = as_point(x, m)
     y = as_point(y, m)
-    fz = [fx] + [None] * (m - 1) + [fy]
-
-    def f_at(k):
-        if fz[k] is None:
-            fz[k] = problem.evaluate(np.concatenate([y[:k], x[k:]]) if k else x)
-        return fz[k]
-
-    H = np.empty((m, m))
-    jac = None
     # Python floats: the same IEEE arithmetic as numpy scalars, at less cost
-    for j, (xj, yj) in enumerate(zip(x.tolist(), y.tolist())):
-        if _coincident(xj, yj):
-            if jac is None:
-                jac = problem.jac(x)
-            H[:, j] = jac[:, j]
-            continue
-        H[:, j] = (f_at(j + 1) - f_at(j)) / (yj - xj)
+    live = [not _coincident(xj, yj) for xj, yj in zip(x.tolist(), y.tolist())]
+    if m == 1:
+        # one column and no inner point: a stack would only add array work
+        H = np.empty((1, 1))
+        if live[0]:
+            H[0] = ((problem.evaluate(y) if fy is None else fy)
+                    - (problem.evaluate(x) if fx is None else fx)) / (y - x)
+        else:
+            H[0] = problem.jac(x)[0]
+        return H
+    dead = [j for j, ok in enumerate(live) if not ok]
+    # row k of FZ is F(z_k); with dead columns, rows no live column uses
+    # stay 0, so the subtraction below sees finite values only
+    FZ = np.zeros((m + 1, m)) if dead else np.empty((m + 1, m))
+    if fx is not None:
+        FZ[0] = fx
+    if fy is not None:
+        FZ[m] = fy
+    lo, hi = (0 if fx is None else 1), (m + 1 if fy is None else m)
+    if dead:
+        # z_k serves columns k - 1 and k
+        rows = [k for k in range(lo, hi)
+                if (k < m and live[k]) or (k > 0 and live[k - 1])]
+    else:
+        rows = slice(lo, hi)    # a view: the stack fills FZ in place
+    Fk = FZ[rows]
+    if len(Fk):
+        problem._evaluate_stack(np.where(_telescope_mask(m)[rows], y, x), Fk)
+        if dead:
+            FZ[rows] = Fk
+    H = np.empty((m, m))
+    np.subtract(FZ[1:], FZ[:-1], out=H.T)
+    d = y - x
+    if dead:
+        d[dead] = 1.0       # no 0/0: these columns take the Jacobian's
+    H /= d
+    if dead:
+        H[:, dead] = problem.jac(x)[:, dead]
     return H
+
+
+@lru_cache(maxsize=8)
+def _telescope_mask(m: int) -> np.ndarray:
+    """Read-only (m + 1, m) mask, row k True left of column k: the point
+    z_k = (y[:k], x[k:]) is np.where(row k, y, x)."""
+    mask = np.tri(m + 1, m, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 @lru_cache(maxsize=32)
@@ -118,9 +152,12 @@ def integral_dd(problem: Problem, x, y, q: int = DEFAULT_QUAD_NODES) -> np.ndarr
     x = as_point(x, m)
     y = as_point(y, m)
     theta, w = gauss_legendre_01(q)
+    # node i is x + theta_i (y - x), the nodes' Jacobians one checked stack
+    J = np.empty((q, m, m))
+    problem._jac_stack(x + np.multiply.outer(theta, y - x), J)
     H = np.zeros((m, m))
-    for t, wi in zip(theta, w):
-        H += wi * problem.jac(x + t * (y - x))
+    for wi, Ji in zip(w, J):
+        H += wi * Ji
     return H
 
 

@@ -313,8 +313,12 @@ def solve(problem: Problem, method, x0, stop: StoppingCriteria) -> IterationTrac
     counts = {"f": 0, "jac": 0}
     p = _counting_copy(problem, counts)
     trace = IterationTrace(used_fd_jacobian=not problem.has_analytic_jacobian())
+    scalar_only = _scalar_only(method)
     try:
-        if isinstance(method, Bisection):
+        if scalar_only and p.dimension != 1:
+            trace.warnings.append(f"{scalar_only} is scalar-only")
+            trace.status = "domain-failure"
+        elif isinstance(method, Bisection):
             trace.status = _solve_bisection(p, method, stop, trace)
         else:
             trace.status = _solve_iterative(p, method, x0, stop, trace)
@@ -325,6 +329,18 @@ def solve(problem: Problem, method, x0, stop: StoppingCriteria) -> IterationTrac
     trace.n_evals = counts["f"]
     trace.n_jac_evals = counts["jac"]
     return trace
+
+
+def _scalar_only(method) -> Optional[str]:
+    """What confines method to scalar problems, or None."""
+    if isinstance(method, Bisection):
+        return "bisection"
+    if isinstance(method, HFamily):
+        return "the h-family step"
+    dd = getattr(method, "dd", None)
+    if dd is not None and dd.variant == "scalar":
+        return "the scalar divided difference"
+    return None
 
 
 def _solve_iterative(p: Problem, method, x0, stop: StoppingCriteria,
@@ -359,9 +375,6 @@ def _solve_iterative(p: Problem, method, x0, stop: StoppingCriteria,
 def _solve_bisection(p: Problem, method: Bisection, stop: StoppingCriteria,
                      trace: IterationTrace) -> str:
     """Scalar interval bisection recording midpoints; ties toward lo."""
-    if p.dimension != 1:
-        trace.warnings.append("bisection is scalar-only")
-        return "domain-failure"
     lo, hi = float(method.lo), float(method.hi)
     flo = p.evaluate([lo])[0]
     fhi = p.evaluate([hi])[0]

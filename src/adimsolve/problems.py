@@ -116,6 +116,23 @@ class Problem:
             raise DomainError("domain failure: non-finite Jacobian")
         return J
 
+    def _evaluate_stack(self, Z: np.ndarray, FZ: np.ndarray) -> None:
+        """F at each row of Z into FZ, of shape (len(Z), m), under evaluate's
+        checks: the finiteness of all of Z tested once, the user's map
+        called directly, its output shape checked per call, and the
+        finiteness of all of FZ tested once."""
+        m = self.dimension
+        if not all_finite(Z):
+            raise DomainError("non-finite input point")
+        f = self.f
+        for i, z in enumerate(Z):
+            fz = as_vector(f(z if m > 1 else z[0]))
+            if fz.shape != (m,):
+                raise ValueError("evaluator output has wrong dimension")
+            FZ[i] = fz
+        if not all_finite(FZ):
+            raise DomainError("domain failure: non-finite value of F")
+
     def _jac_stack(self, X: np.ndarray, J: np.ndarray) -> None:
         """F' at each row of X into J, of shape (len(X), m, m), under jac's
         checks: an analytic Jacobian is called directly, its shape checked
@@ -164,14 +181,11 @@ class Problem:
             return euclidean_norm(v)
         return float(np.linalg.norm(v, np.inf))
 
-    def operator_norm(self, A):
-        """Norm of A induced by the vector norm, for one matrix or for each
-        matrix of a stack of shape (..., m, m): a float for a 2-D A, an
-        array of shape A.shape[:-2] for a stack."""
+    def operator_norm(self, A) -> float:
+        """Norm of the matrix A induced by the vector norm."""
         A = np.atleast_2d(np.asarray(A, dtype=float))
         if self.norm == "max":
-            norms = np.abs(A).sum(-1).max(-1)
-            return float(norms) if A.ndim == 2 else norms
+            return float(np.abs(A).sum(axis=1).max())
         return spectral_norm(A)
 
     def has_analytic_jacobian(self) -> bool:
@@ -186,47 +200,30 @@ def euclidean_norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def spectral_norm(A: np.ndarray, tol: float = 1e-12, max_sweeps: int = 200):
-    """2-norm by power iteration on A^T A, of one matrix or of each matrix
-    of a stack of shape (..., m, m).
-
-    The whole stack iterates together, and each matrix stops on its own
-    when |lam_new - lam| <= tol * max(1, |lam_new|).  When a matrix's
-    iterate vanishes (the start vector lies in the null space of its
-    A^T A) a nonzero matrix falls back to the SVD-based norm.  A 2-D A
-    gives a float, a stack an array of shape A.shape[:-2].
-    """
+def spectral_norm(A: np.ndarray, tol: float = 1e-12, max_sweeps: int = 200) -> float:
+    """2-norm by power iteration on A^T A, stopped when |lam_new - lam| <=
+    tol * max(1, |lam_new|).  When the iterate vanishes (the start vector
+    lies in the null space of A^T A) a nonzero A falls back to the
+    SVD-based norm."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    mats = A.reshape(-1, *A.shape[-2:])
-    m = mats.shape[-1]
+    m = A.shape[1]
     if m == 1:
-        norms = np.abs(mats[:, 0, 0])
-    else:
-        # column iterates of shape (k, m, 1): each product below is one BLAS
-        # call per matrix, so a matrix gets the same arithmetic as alone
-        k = len(mats)
-        B = np.swapaxes(mats, -1, -2) @ mats
-        v = np.full((k, m, 1), 1.0 / np.sqrt(m))
-        lam = np.zeros(k)
-        done, vanished = np.zeros(k, dtype=bool), np.zeros(k, dtype=bool)
-        for _ in range(max_sweeps):
-            w = B @ v
-            nw = np.sqrt(np.swapaxes(w, -1, -2) @ w)
-            vanished |= ~done & (nw[:, 0, 0] == 0.0)
-            v = w / np.where(nw == 0.0, 1.0, nw)
-            lam_new = (np.swapaxes(v, -1, -2) @ B @ v)[:, 0, 0]
-            settled = (np.abs(lam_new - lam)
-                       <= tol * np.maximum(1.0, np.abs(lam_new)))
-            lam = np.where(done, lam, lam_new)
-            done |= vanished | settled
-            if done.all():
-                break
-        norms = np.sqrt(np.maximum(lam, 0.0))
-        for i in np.flatnonzero(vanished):
-            norms[i] = np.linalg.norm(mats[i], 2) if np.any(mats[i]) else 0.0
-    if A.ndim == 2:
-        return float(norms[0])
-    return norms.reshape(A.shape[:-2])
+        return abs(float(A[0, 0]))
+    B = A.T @ A
+    v = np.full(m, 1.0 / np.sqrt(m))
+    lam = 0.0
+    for _ in range(max_sweeps):
+        w = B @ v
+        nw = euclidean_norm(w)
+        if nw == 0.0:
+            return float(np.linalg.norm(A, 2)) if np.any(A) else 0.0
+        v = w / nw
+        lam_new = float(v @ B @ v)
+        settled = abs(lam_new - lam) <= tol * max(1.0, abs(lam_new))
+        lam = lam_new
+        if settled:
+            break
+    return math.sqrt(max(lam, 0.0))
 
 
 def rcond(A: np.ndarray) -> float:

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +10,10 @@ from hypothesis import strategies as st
 from adimsolve.divdiff import (DividedDifference, componentwise_dd,
                                gauss_legendre_01, integral_dd, scalar_dd,
                                verify_interpolatory)
-from adimsolve.problems import Problem
+from adimsolve.problems import DomainError, Problem
 
-from conftest import linear_problem, random_quadratic_problem, recording
+from conftest import (h_equation_problem, linear_problem,
+                      random_quadratic_problem, recording)
 
 # frozen oracle: (f1(0) - f1(e^-1 - 1)) / (0 - (e^-1 - 1))
 F1_DD_ORACLE = 0.2726772679855246
@@ -34,7 +37,8 @@ def reference_componentwise_dd(problem, x, y, fx=None, fy=None):
 
 
 def reference_integral_dd(problem, x, y, q):
-    """The quadrature with the Gauss-Legendre rule computed on every call."""
+    """The quadrature with the Gauss-Legendre rule computed on every call
+    and each node's Jacobian taken by its own Problem.jac call."""
     m = problem.dimension
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     nodes, weights = np.polynomial.legendre.leggauss(q)
@@ -128,6 +132,29 @@ class TestComponentwise:
             assert np.array_equal(componentwise_dd(p, x, y, fx, fy),
                                   reference_componentwise_dd(p, x, y, fx, fy))
 
+    @pytest.mark.parametrize("m", [10, 100])
+    @pytest.mark.parametrize("where", ["none", "first", "middle", "last", "all three"])
+    def test_h_equation_matches_the_reference_bit_for_bit(self, m, where):
+        p, calls = recording(h_equation_problem(m, 0.9))
+        rng = np.random.default_rng(m)
+        x = 1.0 + rng.uniform(0.0, 0.5, m)
+        dead = {"none": [], "first": [0], "middle": [m // 2], "last": [m - 1],
+                "all three": [0, m // 2, m - 1]}[where]
+        for known in (False, True):
+            y = x + rng.uniform(-0.1, 0.1, m)
+            y[dead] = x[dead]
+            fx, fy = (p.evaluate(x), p.evaluate(y)) if known else (None, None)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                calls["f"].clear()
+                H = componentwise_dd(p, x, y, fx, fy)
+                n_calls = len(calls["f"])
+                assert np.array_equal(H, reference_componentwise_dd(p, x, y, fx, fy))
+            # the reference's points, as many times (a dead column j inside
+            # makes z_j and z_j+1 one point, and both are used)
+            points = [z.tobytes() for z in calls["f"]]
+            assert sorted(points[:n_calls]) == sorted(points[n_calls:])
+
     def test_scalar_case_matches_scalar_dd(self, f1):
         H = componentwise_dd(f1, [0.0], [0.6])
         assert H[0, 0] == pytest.approx(scalar_dd(f1, 0.0, 0.6), rel=1e-15)
@@ -181,6 +208,20 @@ class TestIntegral:
         for _ in range(2):  # the second call takes the rule from the cache
             assert np.array_equal(integral_dd(p, x, y, q),
                                   reference_integral_dd(p, x, y, q))
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_node_jacobians_are_one_checked_stack(self, m):
+        p, calls = recording(random_quadratic_problem(np.random.default_rng(m), m))
+        x, y = np.zeros(m), np.linspace(0.5, 1.0, m)
+        integral_dd(p, x, y, q=4)
+        theta, _ = gauss_legendre_01(4)
+        assert np.array_equal(np.array(calls["jac"]),
+                              [x + t * (y - x) for t in theta])
+        assert not calls["f"]
+        poisoned = dataclasses.replace(
+            p, jacobian=lambda v: np.full((m, m), np.nan))
+        with pytest.raises(DomainError, match="^domain failure: non-finite Jacobian$"):
+            integral_dd(poisoned, x, y, q=4)
 
     def test_cached_rule_cannot_be_changed_by_a_caller(self):
         theta, w = gauss_legendre_01(8)

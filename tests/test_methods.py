@@ -155,6 +155,37 @@ class TestSolveDriver:
         assert trace.status == "domain-failure"
         assert trace.residual_norms == [0.0]
 
+    @pytest.mark.parametrize("method, what", [
+        (Bisection(lo=0.0, hi=1.0), "bisection"),
+        (HFamily(h=lambda L: 1.0 / (1.0 - 0.5 * L)), "the h-family step"),
+        (Steffensen(dd=DividedDifference("scalar")),
+         "the scalar divided difference"),
+        (DampedSteffensen(lam=0.5, dd=DividedDifference("scalar")),
+         "the scalar divided difference"),
+    ])
+    def test_scalar_only_method_on_a_vector_problem(self, example3, method, what):
+        p, calls = recording(example3)
+        trace = solve(p, method, [0.0, 0.0], StoppingCriteria())
+        assert trace.status == "domain-failure"
+        assert trace.warnings == [f"{what} is scalar-only"]
+        assert trace.n_evals == len(calls["f"]) == 0
+        assert trace.iterates == []
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_overflowing_steffensen_node(self, m):
+        # the node x0 + F(x0) overflows in its first component, so the
+        # telescope's points, the node among them, are rejected before any
+        # F call; only F(x0) is counted
+        x0 = np.zeros(m)
+        x0[0] = 1.5e308
+        p, calls = recording(Problem(f=lambda x: np.full(m, 1.5e308) + 0.0 * x,
+                                     dimension=m))
+        with np.errstate(over="ignore"):
+            trace = solve(p, Steffensen(), x0, StoppingCriteria())
+        assert trace.status == "domain-failure"
+        assert trace.n_evals == len(calls["f"]) == 1
+        assert trace.n_steps == 0
+
     def test_newton_divergence_detected(self):
         trace = solve(atan_problem(), Newton(), 2.0,
                       StoppingCriteria(0.0, 1e-15, 200))

@@ -59,6 +59,54 @@ class TestEvaluate:
             p.jac(x) if where == "J" else p.evaluate(x)
 
 
+class TestEvaluateStack:
+    """Problem._evaluate_stack: evaluate's checks, once per stack."""
+
+    @staticmethod
+    def stack_and_rows(p, Z):
+        """(error or FZ of the stack, error or values of evaluate row by row)"""
+        def run(fn):
+            try:
+                return fn()
+            except (DomainError, ValueError) as exc:
+                return exc
+        FZ = np.empty_like(Z)
+        return (run(lambda: (p._evaluate_stack(Z, FZ), FZ)[1]),
+                run(lambda: np.array([p.evaluate(z) for z in Z])))
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_values_are_evaluates_bit_for_bit(self, m):
+        p = random_quadratic_problem(np.random.default_rng(m), m)
+        Z = np.random.default_rng(10 + m).uniform(-2.0, 2.0, (5, m))
+        FZ, rows = self.stack_and_rows(p, Z)
+        assert np.array_equal(FZ, rows)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("where, error, message", [
+        ("row", DomainError, "non-finite input point"),
+        ("output", DomainError, "domain failure: non-finite value of F"),
+        ("shape", ValueError, "evaluator output has wrong dimension"),
+    ])
+    def test_raises_evaluates_error(self, where, error, message, m):
+        Z = np.ones((4, m))
+        Z[2, -1] = 2.0              # the point the poison is tied to
+        bad = Z[2].copy()
+
+        def f(x):
+            x = np.atleast_1d(x)
+            if not np.array_equal(x, bad):
+                return np.ones(m)
+            return np.full(m, np.nan) if where == "output" else np.ones(m + 1)
+
+        p = Problem(f=f, dimension=m)
+        if where == "row":
+            Z[2, -1] = np.inf
+        got, rows = self.stack_and_rows(p, Z)
+        for exc in (got, rows):
+            assert type(exc) is error
+            assert str(exc) == message
+
+
 class TestAsPoint:
     @pytest.mark.parametrize("x, m", [
         ([0.5, -2.0], 2),
@@ -421,42 +469,25 @@ class TestNorms:
             2.0, rel=1e-14)
         assert spectral_norm(np.zeros((3, 3))) == 0.0
 
-    def test_stacks_norm_slice_by_slice(self):
-        rng = np.random.default_rng(5)
-        A = rng.standard_normal((2, 3, 2, 2))
-        A[0, 1] = [[1.0, -1.0], [1.0, -1.0]]      # vanishing power iterate
-        A[1, 2] = 0.0
-        p = builtin_problem("example3")
-        p_max = builtin_problem("example3", norm="max")
-        for norms in (spectral_norm(A), p.operator_norm(A)):
-            assert norms.shape == (2, 3)
-            for i in np.ndindex(2, 3):
-                assert norms[i] == pytest.approx(np.linalg.norm(A[i], 2),
-                                                 rel=1e-10, abs=0.0)
-                assert norms[i] == pytest.approx(reference_spectral_norm(A[i]),
-                                                 rel=1e-13, abs=0.0)
-        # matrices still iterating when the sweeps run out keep their last estimate
-        capped = spectral_norm(A, max_sweeps=2)
-        for i in np.ndindex(2, 3):
-            assert capped[i] == pytest.approx(
-                reference_spectral_norm(A[i], max_sweeps=2), rel=1e-13, abs=0.0)
-        assert p.operator_norm(A)[0, 1] == pytest.approx(2.0, rel=1e-14)
-        assert p.operator_norm(A)[1, 2] == 0.0
-        row_sums = p_max.operator_norm(A)
-        for i in np.ndindex(2, 3):
-            assert row_sums[i] == np.linalg.norm(A[i], np.inf)
-        assert isinstance(p.operator_norm(A[0, 0]), float)
-        assert isinstance(p_max.operator_norm(A[0, 0]), float)
-
-    def test_stacked_scalars(self):
-        A = np.array([[[-3.0]], [[0.5]], [[0.0]]])
-        assert spectral_norm(A).tolist() == [3.0, 0.5, 0.0]
-        assert spectral_norm(A[0]) == 3.0
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 24])
+    def test_matches_the_one_matrix_reference_bit_for_bit(self, m):
+        rng = np.random.default_rng(50 + m)
+        p = Problem(f=lambda x: x, dimension=m)
+        for trial in range(10):
+            A = rng.standard_normal((m, m)) * 10.0 ** rng.uniform(-6.0, 6.0)
+            if trial == 0:
+                A = np.linalg.inv(A + m * np.eye(m))   # a B of kantorovich_data
+            for sweeps in (200, 2):
+                assert spectral_norm(A, max_sweeps=sweeps) == \
+                    reference_spectral_norm(A, max_sweeps=sweeps)
+            assert p.operator_norm(A) == reference_spectral_norm(A)
+            assert isinstance(p.operator_norm(A), float)
 
     def test_max_norm_row_sum(self):
         p = builtin_problem("example3", norm="max")
         A = np.array([[1.0, -2.0], [3.0, 0.5]])
         assert p.operator_norm(A) == 3.5
+        assert isinstance(p.operator_norm(A), float)
 
     @pytest.mark.parametrize("m", [1, 2, 10, 400])
     def test_euclidean_norms_match_numpy_bit_for_bit(self, m):
