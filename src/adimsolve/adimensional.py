@@ -40,7 +40,8 @@ class AdimensionalForm:
     """The transform y = T x (T = -F'(x0)/sigma) and the wrapped map G.
 
     T is kept as an LU factorization; back-transforms solve T x = y rather
-    than forming T^{-1}.
+    than forming T^{-1}.  x_c = T^-1 y0 is the point G(y0) evaluates, and
+    f_c = F(x_c) the value behind G(y0).
     """
 
     problem: Problem
@@ -50,6 +51,8 @@ class AdimensionalForm:
     y0: np.ndarray
     g: Problem = field(repr=False)
     _lu: tuple = field(repr=False)
+    x_c: np.ndarray = field(repr=False)
+    f_c: np.ndarray = field(repr=False)
 
     def to_adimensional(self, x) -> np.ndarray:
         x = as_point(x, self.problem.dimension)
@@ -97,8 +100,12 @@ def adimensionalize(problem: Problem, x0) -> AdimensionalForm:
                 name=f"adim({problem.name})")
 
     y0 = T @ x0
+    # the round trip T^-1 (T x0) often gives x0 back bit for bit, and then
+    # F(x0) serves; 0.0 and -0.0 are different points
+    x_c = lu_solve(lu, y0)
+    f_c = fx0 if x_c.tobytes() == x0.tobytes() else problem.evaluate(x_c)
     form = AdimensionalForm(problem=problem, x0=x0, sigma=sigma, T=T, y0=y0,
-                            g=g, _lu=lu)
+                            g=g, _lu=lu, x_c=x_c, f_c=f_c)
     report = check_normalization(form)
     if report["value_residual"] > NORMALIZATION_TOL:
         raise ValueError("adimensional form violates ||G(y0)|| = 1: "
@@ -121,15 +128,14 @@ def check_normalization(obj) -> dict:
         return {"value_residual": abs(obj(0.0) - 1.0),
                 "derivative_residual": abs(obj.derivative(0.0) + 1.0)}
     form: AdimensionalForm = obj
-    p, T, sigma = form.problem, form.T, form.sigma
+    p, T, sigma, x_c = form.problem, form.T, form.sigma, form.x_c
     # G(y) = F(T^-1 y)/sigma, so both checks run on F in x-space about
-    # x_c = T^-1 y0, the point G(y0) evaluates
-    x_c = lu_solve(form._lu, form.y0)
-    # the round trip y0 = T x0, x_c = T^-1 y0 moves x by rounding (an ulp
+    # x_c = T^-1 y0, the point G(y0) evaluates, with the form's F(x_c).
+    # The round trip y0 = T x0, x_c = T^-1 y0 moves x by rounding (an ulp
     # of 1e6 changes F by ~1e-10 relative on exp(x - 1e6)); judge the value
     # at the represented point: F(x_c)/sigma + T (x_c - x0) is F(x0)/sigma
     # to first order
-    value_res = abs(p.vector_norm(p.evaluate(x_c) / sigma
+    value_res = abs(p.vector_norm(form.f_c / sigma
                                   + T @ (x_c - form.x0)) - 1.0)
     # G'(y0) by central differences with an absolute step h in y (y is
     # measured in Newton steps at y0, whatever |y0| is): the y-steps h e_j

@@ -85,17 +85,17 @@ def componentwise_dd(problem: Problem, x, y, fx=None, fy=None) -> np.ndarray:
     m = problem.dimension
     x = as_point(x, m)
     y = as_point(y, m)
-    # Python floats: the same IEEE arithmetic as numpy scalars, at less cost
-    live = [not _coincident(xj, yj) for xj, yj in zip(x.tolist(), y.tolist())]
     if m == 1:
         # one column and no inner point: a stack would only add array work
         H = np.empty((1, 1))
-        if live[0]:
+        if not _coincident(x.item(), y.item()):
             H[0] = ((problem.evaluate(y) if fy is None else fy)
                     - (problem.evaluate(x) if fx is None else fx)) / (y - x)
         else:
             H[0] = problem.jac(x)[0]
         return H
+    # Python floats: the same IEEE arithmetic as numpy scalars, at less cost
+    live = [not _coincident(xj, yj) for xj, yj in zip(x.tolist(), y.tolist())]
     dead = [j for j, ok in enumerate(live) if not ok]
     # row k of FZ is F(z_k); with dead columns, rows no live column uses
     # stay 0, so the subtraction below sees finite values only

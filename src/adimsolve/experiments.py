@@ -109,11 +109,11 @@ def _log10_error_table(errs: Dict[str, np.ndarray]) -> Tuple[List[str], List[lis
     """log10 of each curve's errors ||x_n - root||, one column per tag."""
     n_max = max(len(e) for e in errs.values())
     header = ["n"] + [f"log10_err_{tag}" for tag in errs]
+    cols = [e.tolist() for e in errs.values()]
     rows = []
     for n in range(n_max):
         row = [n]
-        for tag in errs:
-            e = errs[tag]
+        for e in cols:
             row.append(repr(math.log10(max(e[n], 1e-300))) if n < len(e) else "")
         rows.append(row)
     return header, rows

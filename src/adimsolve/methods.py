@@ -62,15 +62,19 @@ class IterationTrace:
         return max(len(self.iterates) - 1, 0)
 
     def errors(self, root) -> np.ndarray:
-        """Norms ||x_n - root|| (Euclidean)."""
+        """Norms ||x_n - root|| (Euclidean), the rows of one stacked
+        difference."""
+        if not self.iterates:
+            return np.array([])
         root = np.atleast_1d(np.asarray(root, dtype=float))
-        return np.array([euclidean_norm(x - root) for x in self.iterates])
+        return np.array([euclidean_norm(d)
+                         for d in np.array(self.iterates) - root])
 
     def to_rows(self):
         rows = []
         for n, x in enumerate(self.iterates):
             step = "" if n == 0 else repr(float(self.step_norms[n - 1]))
-            rows.append([n] + [repr(float(v)) for v in x]
+            rows.append([n] + [repr(float(v)) for v in x.tolist()]
                         + [repr(float(self.residual_norms[n])), step])
         return rows
 
@@ -425,15 +429,19 @@ def asis_solve(problem: Problem, x0, stop: StoppingCriteria,
     """Steffensen on the adimensional form, iterates mapped back to x-space.
 
     G(y) = F(T^-1 y)/sigma, and the F value behind each G evaluation is kept
-    under y: the residual at a back-transformed iterate is the F(x) that G
-    computed at the same x, so no point is evaluated twice.
+    under y: G(y0) takes the F(x_c) of the form's check, and the residual at
+    a back-transformed iterate is the F(x) that G computed at the same x, so
+    no point is evaluated twice.  n_evals counts G's calls.
     """
     form = adimensionalize(problem, x0)
-    f_at = {}
+    f_at = {form.y0.tobytes(): form.f_c}
 
     def g_eval(y):
         y = as_vector(y)
-        fx = f_at[y.tobytes()] = problem.evaluate(form.to_original(y))
+        key = y.tobytes()
+        fx = f_at.get(key)
+        if fx is None:
+            fx = f_at[key] = problem.evaluate(form.to_original(y))
         return fx / form.sigma
 
     g = dataclasses.replace(form.g, f=g_eval)
@@ -446,10 +454,8 @@ def asis_solve(problem: Problem, x0, stop: StoppingCriteria,
     prev = None
     for y in y_trace.iterates:
         x = form.to_original(y)
-        fx = f_at.get(y.tobytes())    # None only at y0, when G failed there
         x_trace.iterates.append(x)
-        x_trace.residual_norms.append(
-            float("nan") if fx is None else problem.vector_norm(fx))
+        x_trace.residual_norms.append(problem.vector_norm(f_at[y.tobytes()]))
         if prev is not None:
             x_trace.step_norms.append(problem.vector_norm(x - prev))
         prev = x

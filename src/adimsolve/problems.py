@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -16,6 +17,9 @@ from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dlange
 
 FD_STEP = 1e-7
 RCOND_FLOOR = 1e-14
+# solve_linear's 1x1 lane: |h| with h and 1/h both normal
+LANE_MIN = sys.float_info.min
+LANE_MAX = 1.0 / sys.float_info.min
 K2_SAMPLES = 24     # random points sample_k2 adds to the center and axis points
 K2_DELTA = 1e-5     # sample_k2's central-difference step on the Jacobian
 
@@ -37,8 +41,11 @@ class AlreadyAtRootError(Exception):
 
 def as_vector(v) -> np.ndarray:
     """np.atleast_1d(np.asarray(v, dtype=float)): a float64 array of one or
-    more dimensions is returned as it is, anything else is converted."""
+    more dimensions is returned as it is, a np.float64 (what a scalar F
+    returns) becomes a (1,) array directly, anything else is converted."""
     if type(v) is not np.ndarray or v.dtype != np.float64:
+        if type(v) is np.float64:
+            return np.array([v])
         v = np.asarray(v, dtype=float)
     return v if v.ndim else v.reshape(1)
 
@@ -95,9 +102,20 @@ class Problem:
 
     def evaluate(self, x) -> np.ndarray:
         x = as_point(x, self.dimension)
+        if self.dimension == 1:
+            # the scalar lane: the same checks in Python, no array reductions
+            t = x[0]
+            if not math.isfinite(t):
+                raise DomainError("non-finite input point")
+            fx = as_vector(self.f(t))
+            if fx.shape != (1,):
+                raise ValueError("evaluator output has wrong dimension")
+            if not math.isfinite(fx[0]):
+                raise DomainError("domain failure: non-finite value of F")
+            return fx
         if not all_finite(x):
             raise DomainError("non-finite input point")
-        fx = as_vector(self.f(x if self.dimension > 1 else x[0]))
+        fx = as_vector(self.f(x))
         if fx.shape != (self.dimension,):
             raise ValueError("evaluator output has wrong dimension")
         if not all_finite(fx):
@@ -195,7 +213,11 @@ class Problem:
 def euclidean_norm(v: np.ndarray) -> float:
     """||v||_2 of a real array, computed as np.linalg.norm computes it (the
     square root of the dot product of the flattened array), so the bits are
-    the same, without its dispatch."""
+    the same, without its dispatch.  One element is squared in Python, as
+    ddot of one element does."""
+    if v.size == 1:
+        s = v.item()
+        return math.sqrt(s * s)
     v = v.ravel(order="K")
     return math.sqrt(v.dot(v))
 
@@ -206,9 +228,9 @@ def spectral_norm(A: np.ndarray, tol: float = 1e-12, max_sweeps: int = 200) -> f
     lies in the null space of A^T A) a nonzero A falls back to the
     SVD-based norm."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    m = A.shape[1]
-    if m == 1:
+    if A.shape == (1, 1):
         return abs(float(A[0, 0]))
+    m = A.shape[1]
     B = A.T @ A
     v = np.full(m, 1.0 / np.sqrt(m))
     lam = 0.0
@@ -246,7 +268,7 @@ def factor_nonsingular(A: np.ndarray):
     contiguous in memory pairwise, so for other layouts at m >= 9 the two
     can differ in the last bits, and the estimate with them.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    A = as_matrix(A)
     lu, piv, info = dgetrf(A)
     if info == 0:
         rc, info = dgecon(lu, dlange("1", A), norm="1")
@@ -257,9 +279,21 @@ def factor_nonsingular(A: np.ndarray):
 
 def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dense solve through one LU factorization, singular operators
-    rejected as in factor_nonsingular."""
+    rejected as in factor_nonsingular.
+
+    A 1x1 operator h whose inverse is normal too (DBL_MIN <= |h| <=
+    1/DBL_MIN) takes a scalar lane with the same decision and bits: there
+    getrf and gecon accept h (the estimate is 1 to a few ulps) and getrs
+    computes b / h, which Python floats give bit for bit, overflowing to
+    inf without a warning as getrs does.  Any other h, zero, subnormal,
+    huge, infinite or NaN, is left to LAPACK."""
+    A, b = as_matrix(A), as_vector(b)
+    if A.shape == (1, 1) and b.shape == (1,):
+        h = A.item()
+        if LANE_MIN <= abs(h) <= LANE_MAX:
+            return np.array([b.item() / h])
     lu, piv = factor_nonsingular(A)
-    return dgetrs(lu, piv, as_vector(b))[0]
+    return dgetrs(lu, piv, b)[0]
 
 
 # -- linear rescalings ------------------------------------------------------

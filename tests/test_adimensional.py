@@ -163,14 +163,24 @@ class TestAdimensionalize:
         with pytest.raises(ValueError, match=r"violates \|\|G\(y0\)\|\| = 1"):
             adimensionalize(p, 0.0)
 
-    @pytest.mark.parametrize("m", [1, 3, 10])
-    def test_form_costs_2m_plus_2_evaluations_and_one_jacobian(self, m):
-        # F(x0), F at x_c = T^-1 y0 for ||G(y0)||, and 2m difference points
+    @pytest.mark.parametrize("m, x0, x_c_is_x0", [
+        (1, 0.0, False),    # x_c = -0.0, a different point
+        (1, 0.5, True),
+        (3, None, True),
+        (10, None, False),
+    ])
+    def test_form_evaluates_each_point_once_and_one_jacobian(self, m, x0,
+                                                             x_c_is_x0):
+        # F(x0), F at x_c = T^-1 y0 for ||G(y0)|| unless the round trip
+        # gives x0 back bit for bit, and 2m difference points
         p, calls = recording(h_equation_problem(m, 0.78) if m > 1
                              else builtin_problem("f1"))
-        adimensionalize(p, np.ones(m) if m > 1 else 0.0)
-        assert len(calls["f"]) == 2 * m + 2
+        form = adimensionalize(p, np.ones(m) if x0 is None else x0)
+        assert (form.x_c.tobytes() == form.x0.tobytes()) == x_c_is_x0
+        assert len(calls["f"]) == 2 * m + 2 - x_c_is_x0
+        assert len({x.tobytes() for x in calls["f"]}) == len(calls["f"])
         assert len(calls["jac"]) == 1
+        assert np.array_equal(form.f_c, p.evaluate(form.x_c))
 
     def test_lu_solve_calls_do_not_grow_with_m(self, monkeypatch):
         n_calls = {"lu_solve": 0}

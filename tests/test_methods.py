@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from adimsolve.divdiff import DividedDifference
+from adimsolve.experiments import _log10_error_table
 from adimsolve.methods import (ASIS, Bisection, DampedFirstOrder,
-                               DampedSteffensen, FixedSlope, HFamily, Newton,
-                               Secant, Steffensen, StoppingCriteria,
-                               asis_solve, h_family_step,
+                               DampedSteffensen, FixedSlope, HFamily,
+                               IterationTrace, Newton, Secant, Steffensen,
+                               StoppingCriteria, asis_solve, h_family_step,
                                damped_steffensen_step, logarithmic_convexity,
                                newton_step, secant_step, solve,
                                steffensen_step)
@@ -362,7 +363,54 @@ class TestBisection:
         assert trace.n_evals == 5
 
 
+def reference_rows(trace):
+    """IterationTrace.to_rows, one numpy scalar at a time."""
+    rows = []
+    for n, x in enumerate(trace.iterates):
+        step = "" if n == 0 else repr(float(trace.step_norms[n - 1]))
+        rows.append([n] + [repr(float(v)) for v in x]
+                    + [repr(float(trace.residual_norms[n])), step])
+    return rows
+
+
+def reference_log10_table(errs):
+    """experiments._log10_error_table, one numpy scalar at a time."""
+    rows = []
+    for n in range(max(len(e) for e in errs.values())):
+        rows.append([n] + [repr(math.log10(max(e[n], 1e-300)))
+                           if n < len(e) else "" for e in errs.values()])
+    return ["n"] + [f"log10_err_{tag}" for tag in errs], rows
+
+
 class TestTraceSerialization:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_rows_errors_and_log_table_are_the_per_row_codes(self, m):
+        rng = np.random.default_rng(40 + m)
+        n = 30
+        scales = 10.0 ** rng.uniform(-200.0, 200.0, (n, m))
+        trace = IterationTrace(
+            iterates=list(rng.standard_normal((n, m)) * scales),
+            residual_norms=[float("nan")] + rng.uniform(0.0, 1.0, n - 1).tolist(),
+            step_norms=list(rng.uniform(0.0, 1.0, n - 1)))
+        trace.iterates[3] = np.zeros(m)
+        root = trace.iterates[3] if m == 1 else rng.standard_normal(m)
+        assert trace.to_rows() == reference_rows(trace)
+        assert trace.to_csv().count("\n") == n + 1
+        with np.errstate(over="ignore"):
+            errors = trace.errors(root)
+            want = np.array([np.linalg.norm(x - root) for x in trace.iterates])
+        assert errors.tobytes() == want.tobytes()
+        errs = {"long": errors, "short": errors[:7],
+                "nan": np.array([0.5, np.nan, 0.0])}
+        assert _log10_error_table(errs) == reference_log10_table(errs)
+
+    def test_empty_trace(self):
+        trace = IterationTrace()
+        assert trace.to_rows() == []
+        assert trace.to_csv() == "n,res_norm,step_norm\n"
+        errors = trace.errors([1.0, 2.0])
+        assert errors.shape == (0,) and errors.dtype == np.float64
+
     def test_csv_shape_and_header(self, example3):
         trace = solve(example3, Newton(), [0.0, 0.0], STOP)
         lines = trace.to_csv().splitlines()
@@ -427,18 +475,27 @@ class TestAsis:
         assert res.x_trace.status.startswith("converged")
         assert np.allclose(res.x_trace.x_final, [1.0, -1.0], atol=1e-8)
 
-    def test_each_point_is_evaluated_once(self, example3):
-        # 2m + 2 = 6 for the form, then 1 + (m + 1) per step on G; the
-        # back-transform reuses the F(x) behind each G(y).  x0,
-        # x_c = T^-1 T x0 and G(y0) share the point (0, 0)
-        p, calls = recording(example3)
-        res = asis_solve(p, [0.0, 0.0], StoppingCriteria())
-        n = res.y_trace.n_steps
-        assert n == 7
-        assert len(calls["f"]) == 6 + 1 + 3 * n == 28
-        assert len(np.unique(np.array(calls["f"]), axis=0)) == 26
-        # the reported count is still that of the solve on G
-        assert res.x_trace.n_evals == res.y_trace.n_evals == 1 + 3 * n
+    @pytest.mark.parametrize("name, x0, n_calls", [
+        # x_c = T^-1 T x0 is -0.0 or has a -0.0: a point of its own
+        ("f1", 0.0, 16),
+        ("example3", [0.0, 0.0], 27),
+        # x_c is x0 bit for bit, and F(x0) serves for it
+        ("f1", 0.5, 12),
+        ("example3", [0.3, -0.2], 23),
+    ])
+    def test_each_point_is_evaluated_once(self, name, x0, n_calls):
+        # the form's F(x0), F(x_c) and 2m difference points, then at most
+        # m + 1 per step on G: G(y0) is the form's F(x_c), and the
+        # back-transform reuses the F(x) behind each G(y)
+        p, calls = recording(builtin_problem(name))
+        res = asis_solve(p, x0, StoppingCriteria())
+        assert len(calls["f"]) == n_calls
+        assert len({x.tobytes() for x in calls["f"]}) == n_calls
+        # the reported count is still that of G's calls, G(y0) among them
+        form = res.form
+        n_form = 2 * p.dimension + 2 - (form.x_c.tobytes() == form.x0.tobytes())
+        assert res.x_trace.n_evals == res.y_trace.n_evals == n_calls - n_form + 1
+        assert res.x_trace.residual_norms[0] == p.vector_norm(form.f_c)
 
     @pytest.mark.parametrize("dd", ["componentwise", "integral"])
     @pytest.mark.parametrize("name, x0", [("f1", [0.0]),
@@ -455,9 +512,9 @@ class TestAsis:
         assert res.x_trace.step_norms == [
             p.vector_norm(b - a) for a, b in zip(xs, xs[1:])]
 
-    def test_a_failure_of_g_at_y0_leaves_a_nan_residual(self, f1):
+    def test_a_failure_in_the_first_step_keeps_the_residual_at_y0(self, f1):
         # F fails from its 5th call on: after the form's 2m + 2 = 4 calls,
-        # at G(y0) in the solve
+        # at the first Steffensen node, since G(y0) is the form's F(x_c)
         n_calls = [0]
 
         def f(x):
@@ -466,10 +523,12 @@ class TestAsis:
 
         p = Problem(f=f, jacobian=f1.jacobian)
         res = asis_solve(p, 0.0, STOP)
+        assert n_calls[0] == 5
         assert res.x_trace.status == "domain-failure"
-        assert np.isnan(res.x_trace.residual_norms[0])
+        assert res.x_trace.residual_norms == [p.vector_norm(res.form.f_c)]
         assert np.array_equal(res.x_trace.iterates,
                               [res.form.to_original(res.form.y0)])
+        assert res.x_trace.n_evals == 2     # G(y0) and the failed node
 
 
 class TestStoppingCriteria:

@@ -1,19 +1,21 @@
 import dataclasses
 import math
 import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import dlange
+from scipy.linalg.lapack import dgetrs, dlange
 
 from adimsolve.methods import IterationTrace
 from adimsolve.problems import (AlreadyAtRootError, DomainError,
                                 LinearScaling, Problem,
                                 SingularOperatorError, apply_scaling,
                                 as_matrix, as_point, builtin_problem,
-                                euclidean_norm,
+                                euclidean_norm, factor_nonsingular,
                                 kantorovich_data, sample_k2, solve_linear,
                                 spectral_norm)
 
@@ -23,6 +25,34 @@ from conftest import (h_equation_kernel, h_equation_problem, linear_problem,
 E = math.e
 # Kantorovich threshold for f1: a = 1/2 exactly when K2 = 1
 X0_THRESHOLD = 1.0 - math.log((1.0 + math.sqrt(3.0)) / 2.0)
+DBL_MAX, DBL_MIN = sys.float_info.max, sys.float_info.min
+
+
+def outcome(fn):
+    """fn()'s result as bytes, or its exception's type and message; any
+    warning raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            r = fn()
+        except (DomainError, SingularOperatorError, ValueError) as exc:
+            return type(exc), str(exc)
+    assert type(r) is np.ndarray and r.dtype == np.float64
+    return r.shape, r.tobytes()
+
+
+def reference_evaluate(p, x):
+    """Problem.evaluate with array checks at every dimension."""
+    x = as_point(x, p.dimension)
+    if not np.isfinite(x).all():
+        raise DomainError("non-finite input point")
+    fx = np.atleast_1d(np.asarray(p.f(x if p.dimension > 1 else x[0]),
+                                  dtype=float))
+    if fx.shape != (p.dimension,):
+        raise ValueError("evaluator output has wrong dimension")
+    if not np.isfinite(fx).all():
+        raise DomainError("domain failure: non-finite value of F")
+    return fx
 
 
 class TestEvaluate:
@@ -57,6 +87,29 @@ class TestEvaluate:
         x = poisoned if where == "x" else np.ones(m)
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             p.jac(x) if where == "J" else p.evaluate(x)
+
+    @pytest.mark.parametrize("x", [0.5, -0.0, DBL_MAX, np.inf, -np.inf,
+                                   np.nan])
+    @pytest.mark.parametrize("value", [
+        lambda t: 2.0 * t,                  # np.float64
+        lambda t: 3.0, lambda t: 3, lambda t: np.float32(2.5),
+        lambda t: np.array(3.0), lambda t: [3.0], lambda t: np.array([t]),
+        lambda t: t * np.inf, lambda t: np.nan, lambda t: [np.inf],
+        lambda t: np.array([1.0, 2.0]), lambda t: np.array([np.nan, 1.0]),
+        lambda t: np.array([[3.0]]), lambda t: [],
+    ])
+    def test_scalar_lane_is_the_array_path(self, x, value):
+        seen = []
+
+        def f(t):
+            seen.append(type(t))
+            return value(t)
+
+        p = Problem(f=f)
+        with np.errstate(invalid="ignore", over="ignore"):  # in the values
+            assert outcome(lambda: p.evaluate(x)) == \
+                outcome(lambda: reference_evaluate(p, x))
+        assert seen in ([], [np.float64, np.float64])
 
 
 class TestEvaluateStack:
@@ -507,6 +560,26 @@ class TestNorms:
         assert np.array_equal(errors,
                               [np.linalg.norm(x - root) for x in iterates])
 
+    def test_one_element_is_ddots_square_root(self):
+        rng = np.random.default_rng(3)
+        values = [0.0, -0.0, 1e-170, -1e-170, 1e200, 5e-324, np.inf, np.nan]
+        values += (rng.standard_normal(200)
+                   * 10.0 ** rng.uniform(-300.0, 300.0, 200)).tolist()
+        for s in values:
+            for v in (np.array([s]), np.array([[s]]), np.array([s, 1.0])[::2]):
+                r = v.ravel()
+                with np.errstate(over="ignore"):    # numpy's dot warns
+                    want = math.sqrt(r.dot(r))
+                got = euclidean_norm(v)
+                assert type(got) is float
+                assert got == want or (math.isnan(got) and math.isnan(want))
+
+    def test_spectral_norm_of_a_column(self):
+        # the one-column matrix [[3], [4]] has norm 5, not |A[0, 0]|
+        assert spectral_norm(np.array([[3.0], [4.0]])) == 5.0
+        assert spectral_norm(np.array([[3.0, 4.0]])) == pytest.approx(5.0)
+        assert spectral_norm(np.array([[-2.5]])) == 2.5
+
     def test_vector_norms(self):
         p_e = builtin_problem("example3")
         p_m = builtin_problem("example3", norm="max")
@@ -545,6 +618,28 @@ class TestSolveLinear:
         for _ in range(20):
             A = rng.standard_normal((m, m)) * 10.0 ** rng.uniform(-8.0, 8.0, (m, m))
             assert dlange("1", A) == np.abs(A).sum(axis=0).max()
+
+    def test_scalar_lane_is_the_lapack_path(self):
+        def lapack(h, b):
+            lu, piv = factor_nonsingular(np.array([[h]]))
+            return dgetrs(lu, piv, np.array([b]))[0]
+
+        below = np.nextafter(DBL_MIN, 0.0)
+        hs = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, below, -below,
+              DBL_MIN, -DBL_MIN, 1e-300, 1e300, 1.0 / DBL_MIN,
+              np.nextafter(1.0 / DBL_MIN, np.inf), 1.7976931348623151e+308,
+              DBL_MAX, -DBL_MAX, np.inf, -np.inf, np.nan]
+        bs = [1.0, -3.5, 0.0, -0.0, 5e-324, 1e300, DBL_MAX, np.inf, np.nan]
+        pairs = [(h, b) for h in hs for b in bs]
+        rng = np.random.default_rng(17)
+        signs = rng.choice([-1.0, 1.0], (2000, 2))
+        mags = 10.0 ** rng.uniform(-300.0, 300.0, (2000, 2))
+        pairs += (signs * mags * rng.uniform(1.0, 10.0, (2000, 2))).tolist()
+        for h, b in pairs:
+            got = outcome(lambda: solve_linear([[h]], [b]))
+            assert got == outcome(lambda: lapack(h, b)), (h, b)
+            if not DBL_MIN <= abs(h) <= DBL_MAX:    # 0, subnormal, inf, nan
+                assert got[0] is SingularOperatorError
 
     def test_ill_conditioned_above_the_floor_solves(self):
         x = solve_linear([[1.0, 0.0], [0.0, 1e-10]], [1.0, 1e-10])
