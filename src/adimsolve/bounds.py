@@ -23,17 +23,13 @@ class HypothesesNotSatisfied(Exception):
 @dataclass
 class NewtonBoundSequences:
     """a_{n+1} = a_n/(1 - a a_n d_n), d_{n+1} = (a/2) a_{n+1} d_n^2,
-    from a_0 = d_0 = 1."""
+    from a_0 = d_0 = 1, and the partial sums r_n = sum_{k<n} d_k (r_0 = 0)."""
 
     a: float
     a_seq: np.ndarray
     d_seq: np.ndarray
+    r_seq: np.ndarray
     status: str = "positive"
-
-    @property
-    def partial_sums(self) -> np.ndarray:
-        """r_n = sum_{k<n} d_k (r_0 = 0)."""
-        return np.concatenate([[0.0], np.cumsum(self.d_seq)])
 
 
 @dataclass
@@ -52,8 +48,9 @@ class SteffensenBoundSequences:
 
 
 def newton_sequences(a: float, N: int) -> NewtonBoundSequences:
-    """Arrays a_0..a_N and d_0..d_N; truncated with status "not positive"
-    when a denominator crosses zero (which happens iff a > 1/2)."""
+    """Arrays a_0..a_N, d_0..d_N and r_0..r_{N+1}; truncated with status
+    "not positive" when a denominator crosses zero (which happens iff
+    a > 1/2)."""
     if a < 0.0:
         raise ValueError("a must be nonnegative")
     a_seq = [1.0]
@@ -67,8 +64,10 @@ def newton_sequences(a: float, N: int) -> NewtonBoundSequences:
         a_next = a_seq[-1] / den
         d_seq.append((a / 2.0) * a_next * d_seq[-1] ** 2)
         a_seq.append(a_next)
-    return NewtonBoundSequences(a=a, a_seq=np.array(a_seq),
-                                d_seq=np.array(d_seq), status=status)
+    d_seq = np.array(d_seq)
+    return NewtonBoundSequences(a=a, a_seq=np.array(a_seq), d_seq=d_seq,
+                                r_seq=np.concatenate([[0.0], np.cumsum(d_seq)]),
+                                status=status)
 
 
 def newton_rate(a: float, d_n: float) -> float:
@@ -233,14 +232,12 @@ class ErrorEnvelopes:
 
 
 def bound_sequences(a: float, N: int, system: str):
-    """The sequences of the "newton" or the "steffensen" system and their
-    partial sums r_n = d_0 + ... + d_{n-1}."""
+    """The sequences of the "newton" or the "steffensen" system, each with
+    its partial sums r_n = d_0 + ... + d_{n-1} as r_seq."""
     if system == "newton":
-        seqs = newton_sequences(a, N)
-        return seqs, seqs.partial_sums
+        return newton_sequences(a, N)
     if system == "steffensen":
-        seqs = steffensen_sequences(a, N)
-        return seqs, seqs.r_seq
+        return steffensen_sequences(a, N)
     raise ValueError(f"unknown system {system!r}")
 
 
@@ -251,9 +248,9 @@ def error_envelopes(data: KantorovichData, N: int,
         raise HypothesesNotSatisfied(
             f"hypotheses not satisfied: a = {a:.6g} > 1/2")
     roots = majorizing_roots(a)
-    seqs, r_seq = bound_sequences(a, N, system)
+    seqs = bound_sequences(a, N, system)
     return ErrorEnvelopes(data=data, system=system, d_seq=seqs.d_seq,
                           step_bounds=seqs.d_seq * data.eta,
-                          tail_bounds=(roots.s_star - r_seq) * data.eta,
+                          tail_bounds=(roots.s_star - seqs.r_seq) * data.eta,
                           inverse_bounds=seqs.a_seq * data.B,
-                          r_seq=r_seq, s_star=roots.s_star)
+                          r_seq=seqs.r_seq, s_star=roots.s_star)

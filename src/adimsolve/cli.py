@@ -29,9 +29,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=None,
                        help="directory for trace/table files")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", default="none",
-                       help="accepted for interface uniformity; all "
-                            "experiments are deterministic")
 
     common(sub.add_parser("example1", help="scalar equation, three methods"))
     common(sub.add_parser("example2", help="rescaled scalar equation"))

@@ -337,10 +337,11 @@ def run_bounds_report(k2: float, B: float, eta: float, system: str = "newton",
             f"hypotheses not satisfied: a = {data.a:.6g} > 1/2")
     a = data.a
     s_star = bounds_mod.majorizing_roots(a).s_star if a <= 0.5 else float("nan")
-    seqs, r = bounds_mod.bound_sequences(a, N, system)
+    seqs = bounds_mod.bound_sequences(a, N, system)
     # the Newton system has no b_n and c_n; a cell past a sequence's end is empty
     columns = [seqs.a_seq, getattr(seqs, "b_seq", ()), getattr(seqs, "c_seq", ()),
-               seqs.d_seq, r, seqs.d_seq * eta, (s_star - r) * eta]
+               seqs.d_seq, seqs.r_seq, seqs.d_seq * eta,
+               (s_star - seqs.r_seq) * eta]
     rows = [[n] + [repr(float(col[n])) if n < len(col) else "" for col in columns]
             for n in range(len(seqs.a_seq))]
     res.tables["table"] = (

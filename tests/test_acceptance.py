@@ -85,7 +85,7 @@ def test_criterion_03_bound_sequences_are_exact_on_the_quadratic(capsys):
                                rtol=1e-12, atol=1e-12))
         # telescoped partial sums of the derivative-known system
         ns = newton_sequences(a, 20)
-        r = ns.partial_sums[:len(ns.a_seq)]
+        r = ns.r_seq[:len(ns.a_seq)]
         ok &= bool(np.allclose(r, (1.0 / a) * (1.0 - 1.0 / ns.a_seq),
                                rtol=1e-12, atol=1e-12))
     for a in (x for x in A_GRID if x <= 0.49):
@@ -144,7 +144,7 @@ def test_criterion_06_semilocal_envelopes_on_f1(capsys):
     d_eta = ns.d_seq * data.eta
     n = min(len(steps), len(d_eta))
     ok = ok and bool(np.all(steps[:n] <= d_eta[:n] + 1e-14))
-    tails = (s_star - ns.partial_sums) * data.eta
+    tails = (s_star - ns.r_seq) * data.eta
     errs = tr.errors(1.0)
     n = min(len(errs), len(tails))
     ok = ok and bool(np.all(errs[:n] <= tails[:n] + 1e-12))

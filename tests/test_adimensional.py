@@ -208,6 +208,22 @@ class TestAdimensionalize:
         with pytest.raises(ValueError, match=r"violates G'\(y0\) = -I"):
             adimensionalize(wrong, np.ones(m))
 
+    def test_jacobian_wrong_off_the_start_direction_is_rejected(self):
+        # F(x) = x - b with Jacobian I + E, ||E|| = 5e-8 along (1, -1, 0) and
+        # only 7.5e-9 along (1, 1, 1): a power iteration started at
+        # (1, 1, 1)/sqrt 3 read ||G'(y0) + I|| as 7.5e-9 and accepted it
+        V = np.column_stack([np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0),
+                             np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0),
+                             np.array([1.0, 1.0, -2.0]) / math.sqrt(6.0)])
+        Q = np.linalg.qr(np.random.default_rng(4).standard_normal((3, 3)))[0]
+        E = 5e-8 * Q @ np.diag([1.0, 0.15, 0.1]) @ V.T
+        b = np.array([1.0, 2.0, 3.0])
+        p = Problem(f=lambda x: x - b, jacobian=lambda x: np.eye(3) + E,
+                    dimension=3)
+        with pytest.raises(ValueError,
+                           match=r"violates G'\(y0\) = -I: residual 5\.0"):
+            adimensionalize(p, np.zeros(3))
+
 
 class TestAdimensionalPolynomial:
     def test_quadratic_values(self):

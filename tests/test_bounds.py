@@ -27,7 +27,7 @@ class TestNewtonSequences:
 
     def test_partial_sums(self):
         seqs = newton_sequences(0.5, 4)
-        assert np.allclose(seqs.partial_sums,
+        assert np.allclose(seqs.r_seq,
                            [0.0, 1.0, 1.5, 1.75, 1.875, 1.9375])
 
     def test_invariant(self):
@@ -42,7 +42,7 @@ class TestNewtonSequences:
         # sum_{k<n} d_k = (1/a)(1 - 1/a_n)
         a = 0.4
         seqs = newton_sequences(a, 10)
-        r = seqs.partial_sums
+        r = seqs.r_seq
         assert np.allclose(r[:len(seqs.a_seq)],
                            (1.0 / a) * (1.0 - 1.0 / seqs.a_seq), atol=1e-12)
 
@@ -56,7 +56,7 @@ class TestNewtonSequences:
     def test_sum_converges_to_s_star(self):
         a = 0.3
         seqs = newton_sequences(a, 30)
-        assert seqs.partial_sums[-1] == pytest.approx(
+        assert seqs.r_seq[-1] == pytest.approx(
             majorizing_roots(a).s_star, abs=1e-12)
 
     def test_truncates_above_half(self):

@@ -44,6 +44,16 @@ class TestExitCodes:
             main(["no-such-experiment"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [["example1", "--seed", "1"],
+                                      ["custom", "--problem", "f1",
+                                       "--seed", "1"]])
+    def test_seed_flag_is_rejected(self, argv, capsys):
+        # every experiment is deterministic; a flag with no effect is gone
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
     def test_custom_run(self, capsys):
         code = main(["custom", "--problem", "f1", "--method", "newton",
                      "--method", "asis", "--x0", "0.0"])
