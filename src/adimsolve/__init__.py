@@ -5,11 +5,11 @@ recurrences, and empirical convergence-order estimation."""
 from .adimensional import (AdimensionalForm, AdimensionalPolynomial,
                            adimensional_polynomial, adimensionalize,
                            check_normalization)
-from .bounds import (ErrorEnvelopes, HypothesesNotSatisfied, MajorizingRoots,
-                     NewtonBoundSequences, SteffensenBoundSequences,
-                     cubic_positive_roots, error_envelopes, majorizing_roots,
-                     newton_on_adim_poly, newton_rate, newton_sequences,
-                     steffensen_on_adim_poly, steffensen_sequences)
+from .bounds import (BoundSequences, ErrorEnvelopes, HypothesesNotSatisfied,
+                     MajorizingRoots, cubic_positive_roots, error_envelopes,
+                     majorizing_roots, newton_on_adim_poly, newton_rate,
+                     newton_sequences, steffensen_on_adim_poly,
+                     steffensen_sequences)
 from .divdiff import (DividedDifference, componentwise_dd, integral_dd,
                       scalar_dd, verify_interpolatory)
 from .methods import (ASIS, AsisResult, Bisection, DampedFirstOrder,

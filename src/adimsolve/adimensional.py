@@ -163,19 +163,14 @@ def check_normalization(obj) -> dict:
 
 @dataclass(frozen=True)
 class AdimensionalPolynomial:
-    """q(s) = (b/6)s^3 + (a/2)s^2 - s + 1 (degree 2 when b is omitted)."""
+    """q(s) = (b/6)s^3 + (a/2)s^2 - s + 1 (the quadratic when b = 0)."""
 
     a: float
     b: float = 0.0
-    degree: int = 2
 
     def __post_init__(self):
         if self.a < 0.0 or self.b < 0.0:
             raise ValueError("a and b must be nonnegative")
-        if self.degree not in (2, 3):
-            raise ValueError("degree must be 2 or 3")
-        if self.degree == 2 and self.b != 0.0:
-            raise ValueError("degree-2 polynomial cannot carry b")
 
     def __call__(self, s: float) -> float:
         return ((self.b / 6.0) * s ** 3 + (self.a / 2.0) * s ** 2 - s + 1.0)
@@ -200,9 +195,7 @@ def adimensional_polynomial(k2: float, B: float, eta: float,
         raise ValueError("B and eta must be positive")
     if k2 < 0.0:
         raise ValueError("k2 must be nonnegative")
-    a = k2 * B * eta
-    if k3 is None:
-        return AdimensionalPolynomial(a=a)
-    if k3 < 0.0:
+    if k3 is not None and k3 < 0.0:
         raise ValueError("k3 must be nonnegative")
-    return AdimensionalPolynomial(a=a, b=k3 * B * eta * eta, degree=3)
+    return AdimensionalPolynomial(
+        a=k2 * B * eta, b=0.0 if k3 is None else k3 * B * eta * eta)

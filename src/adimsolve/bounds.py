@@ -4,7 +4,7 @@ quadratics used as oracles for the recurrences.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -21,20 +21,13 @@ class HypothesesNotSatisfied(Exception):
 
 
 @dataclass
-class NewtonBoundSequences:
-    """a_{n+1} = a_n/(1 - a a_n d_n), d_{n+1} = (a/2) a_{n+1} d_n^2,
-    from a_0 = d_0 = 1, and the partial sums r_n = sum_{k<n} d_k (r_0 = 0)."""
+class BoundSequences:
+    """The sequences of a bound system, from a_0 = d_0 = 1 (Newton) or
+    a_0 = c_0 = 1 (Steffensen), with the partial sums r_n = sum_{k<n} d_k
+    (r_0 = 0).
 
-    a: float
-    a_seq: np.ndarray
-    d_seq: np.ndarray
-    r_seq: np.ndarray
-    status: str = "positive"
-
-
-@dataclass
-class SteffensenBoundSequences:
-    """Five-sequence system with c_0 = a_0 = 1, r_0 = 0:
+    Newton: a_{n+1} = a_n/(1 - a a_n d_n), d_{n+1} = (a/2) a_{n+1} d_n^2;
+    b_seq and c_seq are empty.  Steffensen, five sequences:
     b_n = a_n/(1-(a/2)a_n c_n), d_n = b_n c_n, a_{n+1} = a_n/(1-a a_n d_n),
     c_{n+1} = (a^2/2) d_n^2 (r_n + c_n/2), r_{n+1} = r_n + d_n."""
 
@@ -47,7 +40,7 @@ class SteffensenBoundSequences:
     status: str = "positive"
 
 
-def newton_sequences(a: float, N: int) -> NewtonBoundSequences:
+def newton_sequences(a: float, N: int) -> BoundSequences:
     """Arrays a_0..a_N, d_0..d_N and r_0..r_{N+1}; truncated with status
     "not positive" when a denominator crosses zero (which happens iff
     a > 1/2)."""
@@ -65,9 +58,10 @@ def newton_sequences(a: float, N: int) -> NewtonBoundSequences:
         d_seq.append((a / 2.0) * a_next * d_seq[-1] ** 2)
         a_seq.append(a_next)
     d_seq = np.array(d_seq)
-    return NewtonBoundSequences(a=a, a_seq=np.array(a_seq), d_seq=d_seq,
-                                r_seq=np.concatenate([[0.0], np.cumsum(d_seq)]),
-                                status=status)
+    return BoundSequences(a=a, a_seq=np.array(a_seq), b_seq=np.empty(0),
+                          c_seq=np.empty(0), d_seq=d_seq,
+                          r_seq=np.concatenate([[0.0], np.cumsum(d_seq)]),
+                          status=status)
 
 
 def newton_rate(a: float, d_n: float) -> float:
@@ -80,7 +74,7 @@ def newton_rate(a: float, d_n: float) -> float:
     return (a / 2.0) * d_n ** 2 / np.sqrt(disc)
 
 
-def steffensen_sequences(a: float, N: int) -> SteffensenBoundSequences:
+def steffensen_sequences(a: float, N: int) -> BoundSequences:
     if a < 0.0:
         raise ValueError("a must be nonnegative")
     a_seq = [1.0]
@@ -105,11 +99,9 @@ def steffensen_sequences(a: float, N: int) -> SteffensenBoundSequences:
         a_seq.append(a_seq[-1] / den_a)
         c_seq.append((a * a / 2.0) * d_n * d_n * (r_seq[-1] + c_seq[-1] / 2.0))
         r_seq.append(r_seq[-1] + d_n)
-    return SteffensenBoundSequences(a=a, a_seq=np.array(a_seq),
-                                    b_seq=np.array(b_seq),
-                                    c_seq=np.array(c_seq),
-                                    d_seq=np.array(d_seq),
-                                    r_seq=np.array(r_seq), status=status)
+    return BoundSequences(a=a, a_seq=np.array(a_seq), b_seq=np.array(b_seq),
+                          c_seq=np.array(c_seq), d_seq=np.array(d_seq),
+                          r_seq=np.array(r_seq), status=status)
 
 
 # -- exact iterations on the adimensional quadratic (oracles) ----------------
@@ -190,8 +182,7 @@ def cubic_positive_roots(a: float, b: float,
     if a == 0.0 and b == 0.0:
         # linear: single simple root at 1
         return CubicRootClassification("two-simple", (1.0, float("inf")))
-    q = AdimensionalPolynomial(a=a, b=b, degree=3) if b > 0.0 \
-        else AdimensionalPolynomial(a=a)
+    q = AdimensionalPolynomial(a=a, b=b)
     # bracket the positive critical point of q
     hi = 1.0
     while q.derivative(hi) < 0.0:
@@ -231,7 +222,7 @@ class ErrorEnvelopes:
     s_star: float
 
 
-def bound_sequences(a: float, N: int, system: str):
+def bound_sequences(a: float, N: int, system: str) -> BoundSequences:
     """The sequences of the "newton" or the "steffensen" system, each with
     its partial sums r_n = d_0 + ... + d_{n-1} as r_seq."""
     if system == "newton":

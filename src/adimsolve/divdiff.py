@@ -1,4 +1,4 @@
-"""Divided-difference operators for scalars and maps on R^m.
+"""Divided-difference operators for maps on R^m.
 
 All variants return an m x m matrix H satisfying (up to rounding or
 quadrature error) the interpolatory identity H(x - y) = F(x) - F(y).
@@ -16,13 +16,14 @@ from .problems import Problem, as_point
 COINCIDENT_TOL = 1e-14
 DEFAULT_QUAD_NODES = 8
 
-VARIANTS = ("scalar", "componentwise", "integral")
+VARIANTS = ("componentwise", "integral")
 
 
 @dataclass(frozen=True)
 class DividedDifference:
-    """Choice of operator: scalar quotient, componentwise telescope, or
-    Gauss-Legendre quadrature of the Jacobian along the segment."""
+    """Choice of operator: componentwise telescope (at m = 1 the scalar
+    quotient) or Gauss-Legendre quadrature of the Jacobian along the
+    segment."""
 
     variant: str = "componentwise"
     quad_nodes: int = DEFAULT_QUAD_NODES
@@ -37,16 +38,9 @@ class DividedDifference:
         """Operator on the nodes x, y.  Known values fx = F(x), fy = F(y) are
         used instead of evaluating F there again; the integral variant needs
         neither."""
-        if self.variant == "scalar":
-            return np.array([[scalar_dd(problem, _first(x), _first(y),
-                                        _first(fx), _first(fy))]])
         if self.variant == "integral":
             return integral_dd(problem, x, y, self.quad_nodes)
         return componentwise_dd(problem, x, y, fx, fy)
-
-
-def _first(v):
-    return None if v is None else float(np.atleast_1d(v)[0])
 
 
 def _coincident(xj: float, yj: float) -> bool:
@@ -56,7 +50,8 @@ def _coincident(xj: float, yj: float) -> bool:
 def scalar_dd(problem: Problem, x: float, y: float,
               fx: Optional[float] = None, fy: Optional[float] = None) -> float:
     """(f(x) - f(y)) / (x - y); falls back to f'(x) on coincident nodes.
-    Known values fx = f(x), fy = f(y) are not evaluated again."""
+    Known values fx = f(x), fy = f(y) are not evaluated again.  The
+    reference for componentwise_dd at m = 1, which gives the same bits."""
     if problem.dimension != 1:
         raise ValueError("scalar_dd requires a scalar problem")
     if _coincident(x, y):

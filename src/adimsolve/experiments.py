@@ -339,9 +339,8 @@ def run_bounds_report(k2: float, B: float, eta: float, system: str = "newton",
     s_star = bounds_mod.majorizing_roots(a).s_star if a <= 0.5 else float("nan")
     seqs = bounds_mod.bound_sequences(a, N, system)
     # the Newton system has no b_n and c_n; a cell past a sequence's end is empty
-    columns = [seqs.a_seq, getattr(seqs, "b_seq", ()), getattr(seqs, "c_seq", ()),
-               seqs.d_seq, seqs.r_seq, seqs.d_seq * eta,
-               (s_star - seqs.r_seq) * eta]
+    columns = [seqs.a_seq, seqs.b_seq, seqs.c_seq, seqs.d_seq, seqs.r_seq,
+               seqs.d_seq * eta, (s_star - seqs.r_seq) * eta]
     rows = [[n] + [repr(float(col[n])) if n < len(col) else "" for col in columns]
             for n in range(len(seqs.a_seq))]
     res.tables["table"] = (

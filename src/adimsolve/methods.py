@@ -341,9 +341,6 @@ def _scalar_only(method) -> Optional[str]:
         return "bisection"
     if isinstance(method, HFamily):
         return "the h-family step"
-    dd = getattr(method, "dd", None)
-    if dd is not None and dd.variant == "scalar":
-        return "the scalar divided difference"
     return None
 
 

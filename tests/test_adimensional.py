@@ -234,7 +234,7 @@ class TestAdimensionalPolynomial:
         assert q.second_derivative(1.3) == 0.5
 
     def test_cubic_values(self):
-        q = AdimensionalPolynomial(a=0.4, b=0.6, degree=3)
+        q = AdimensionalPolynomial(a=0.4, b=0.6)
         s = 1.5
         assert q(s) == pytest.approx(0.1 * s ** 3 + 0.2 * s ** 2 - s + 1.0)
         assert q.derivative(s) == pytest.approx(0.3 * s ** 2 + 0.4 * s - 1.0)
@@ -251,10 +251,6 @@ class TestAdimensionalPolynomial:
         assert p.evaluate(2.0)[0] == 0.0
         assert p.jac(0.0)[0, 0] == -1.0
         assert p.second_derivative(0.0) == 0.5
-
-    def test_degree2_rejects_b(self):
-        with pytest.raises(ValueError):
-            AdimensionalPolynomial(a=0.5, b=0.1, degree=2)
 
     def test_negative_coefficients_rejected(self):
         with pytest.raises(ValueError):
@@ -273,7 +269,9 @@ class TestAdimensionalPolynomial:
         q = adimensional_polynomial(k2=2.0, B=0.5, eta=0.3, k3=4.0)
         assert q.a == pytest.approx(2.0 * 0.5 * 0.3)
         assert q.b == pytest.approx(4.0 * 0.5 * 0.09)
-        assert q.degree == 3
+        assert q.b == 4.0 * 0.5 * 0.3 * 0.3
+        # without K3 the polynomial is the quadratic
+        assert adimensional_polynomial(k2=2.0, B=0.5, eta=0.3).b == 0.0
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

@@ -197,7 +197,7 @@ class TestCubicRoots:
     def test_two_simple_cubic(self):
         cls = cubic_positive_roots(0.1, 0.1)
         assert cls.kind == "two-simple"
-        q = AdimensionalPolynomial(a=0.1, b=0.1, degree=3)
+        q = AdimensionalPolynomial(a=0.1, b=0.1)
         for r in cls.roots:
             assert abs(q(r)) < 1e-10
 
@@ -209,7 +209,7 @@ class TestCubicRoots:
         a = 0.2
 
         def min_value(b):
-            q = AdimensionalPolynomial(a=a, b=b, degree=3)
+            q = AdimensionalPolynomial(a=a, b=b)
             s_crit = brentq(q.derivative, 0.0, 100.0)
             return q(s_crit)
 

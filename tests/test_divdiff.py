@@ -48,6 +48,14 @@ def reference_integral_dd(problem, x, y, q):
     return H
 
 
+def atan_problem():
+    """atan(t) + t/2: F and F' finite at every finite t, so any two nodes
+    have a quotient."""
+    return Problem(f=lambda t: math.atan(t) + 0.5 * t,
+                   jacobian=lambda t: 0.5 + (1.0 / math.hypot(1.0, t)) ** 2,
+                   dimension=1, name="atan(t)+t/2")
+
+
 def quad_problem():
     return Problem(f=lambda x: x * x - 4.0, jacobian=lambda x: 2.0 * x,
                    dimension=1, name="t^2-4")
@@ -155,9 +163,34 @@ class TestComponentwise:
             points = [z.tobytes() for z in calls["f"]]
             assert sorted(points[:n_calls]) == sorted(points[n_calls:])
 
-    def test_scalar_case_matches_scalar_dd(self, f1):
-        H = componentwise_dd(f1, [0.0], [0.6])
-        assert H[0, 0] == pytest.approx(scalar_dd(f1, 0.0, 0.6), rel=1e-15)
+    @given(u=st.floats(-300.0, 300.0), v=st.floats(-300.0, 300.0),
+           sx=st.sampled_from([-1.0, 1.0]), sy=st.sampled_from([-1.0, 1.0]),
+           known=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_case_matches_scalar_dd(self, u, v, sx, sy, known):
+        # at m = 1 the telescope is the scalar quotient, bit for bit, with
+        # the same F and F' calls, at nodes across +-300 decades
+        x, y = sx * 10.0 ** u, sy * 10.0 ** v
+        self._assert_scalar_dd(atan_problem(), x, y, known)
+
+    @pytest.mark.parametrize("x, y", [
+        (0.4, 0.4), (0.4, 0.4 + 1e-16), (-0.0, 0.0), (0.0, 1e-15),
+        (1e300, 1e300 * (1.0 + 1e-15)), (-1e-300, 1e-300), (7.0, 7.0 - 6e-14)])
+    @pytest.mark.parametrize("known", [False, True])
+    def test_scalar_case_matches_scalar_dd_on_coincident_nodes(self, x, y, known):
+        self._assert_scalar_dd(atan_problem(), x, y, known)
+
+    @staticmethod
+    def _assert_scalar_dd(p, x, y, known):
+        fx, fy = (p.evaluate(x), p.evaluate(y)) if known else (None, None)
+        rec, calls = recording(p)
+        H = componentwise_dd(rec, [x], [y], fx, fy)
+        ref, ref_calls = recording(p)
+        h = scalar_dd(ref, x, y, *((fx[0], fy[0]) if known else (None, None)))
+        assert H.shape == (1, 1) and H[0, 0] == h
+        for kind in ("f", "jac"):
+            assert sorted(z.tobytes() for z in calls[kind]) == \
+                sorted(z.tobytes() for z in ref_calls[kind])
 
     @given(seed=st.integers(0, 10_000), m=st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
@@ -236,8 +269,6 @@ class TestIntegral:
 
 class TestDispatcher:
     def test_variant_selection(self, f1, example3):
-        assert DividedDifference("scalar")(f1, 0.0, 0.6)[0, 0] == \
-            pytest.approx(scalar_dd(f1, 0.0, 0.6))
         x, y = np.array([0.8, -0.6]), np.array([1.3, -1.2])
         assert np.allclose(DividedDifference("componentwise")(example3, x, y),
                            componentwise_dd(example3, x, y))
@@ -248,9 +279,7 @@ class TestDispatcher:
         for p, x, y in ((f1, [0.3], [0.9]),
                         (example3, [0.8, -0.6], [1.3, -1.2])):
             fx, fy = p.evaluate(x), p.evaluate(y)
-            for variant in ("scalar", "componentwise", "integral"):
-                if variant == "scalar" and p.dimension > 1:
-                    continue
+            for variant in ("componentwise", "integral"):
                 dd = DividedDifference(variant)
                 rec, calls = recording(p)
                 H = dd(rec, x, y, fx=fx, fy=fy)
@@ -258,9 +287,11 @@ class TestDispatcher:
                 inner = p.dimension - 1 if variant == "componentwise" else 0
                 assert len(calls["f"]) == inner
 
-    def test_unknown_variant(self):
+    @pytest.mark.parametrize("variant", ["secant-table", "scalar"])
+    def test_unknown_variant(self, variant):
+        # at m = 1 the componentwise operator is the scalar quotient
         with pytest.raises(ValueError):
-            DividedDifference("secant-table")
+            DividedDifference(variant)
 
     def test_too_few_quad_nodes(self):
         with pytest.raises(ValueError):

@@ -44,7 +44,7 @@ class TestSingleSteps:
     def test_secant_on_quadratic(self):
         # nodes 1 and 3: quotient 4, step 3 - 5/4
         assert secant_step(quad_problem(), 1.0, 3.0,
-                           DividedDifference("scalar"))[0] == 1.75
+                           DividedDifference("componentwise"))[0] == 1.75
 
     def test_steffensen_on_quadratic(self):
         # node 3 + 5 = 8, quotient 11, step 3 - 5/11
@@ -159,10 +159,6 @@ class TestSolveDriver:
     @pytest.mark.parametrize("method, what", [
         (Bisection(lo=0.0, hi=1.0), "bisection"),
         (HFamily(h=lambda L: 1.0 / (1.0 - 0.5 * L)), "the h-family step"),
-        (Steffensen(dd=DividedDifference("scalar")),
-         "the scalar divided difference"),
-        (DampedSteffensen(lam=0.5, dd=DividedDifference("scalar")),
-         "the scalar divided difference"),
     ])
     def test_scalar_only_method_on_a_vector_problem(self, example3, method, what):
         p, calls = recording(example3)
