@@ -75,7 +75,7 @@ def adimensionalize(problem: Problem, x0) -> AdimensionalForm:
     x0 = as_point(x0, m)
     fx0 = problem.evaluate(x0)
     sigma = problem.vector_norm(fx0)
-    if sigma < 1e-300:
+    if sigma == 0.0:
         raise AlreadyAtRootError("already at root: F(x0) = 0")
     J0 = problem.jac(x0)
     if rcond(J0) < RCOND_FLOOR:

@@ -5,7 +5,7 @@ quadratics used as oracles for the recurrences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 from scipy.optimize import brentq

@@ -17,9 +17,10 @@ from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dlange
 
 FD_STEP = 1e-7
 RCOND_FLOOR = 1e-14
+DBL_MIN, DBL_MAX = sys.float_info.min, sys.float_info.max
 # solve_linear's 1x1 lane: |h| with h and 1/h both normal
-LANE_MIN = sys.float_info.min
-LANE_MAX = 1.0 / sys.float_info.min
+LANE_MIN = DBL_MIN
+LANE_MAX = 1.0 / DBL_MIN
 K2_SAMPLES = 24     # random points sample_k2 adds to the center and axis points
 K2_DELTA = 1e-5     # sample_k2's central-difference step on the Jacobian
 
@@ -213,15 +214,32 @@ class Problem:
 
 
 def euclidean_norm(v: np.ndarray) -> float:
-    """||v||_2 of a real array, computed as np.linalg.norm computes it (the
-    square root of the dot product of the flattened array), so the bits are
-    the same, without its dispatch.  One element is squared in Python, as
-    ddot of one element does."""
+    """||v||_2 of a real array, scale-free.
+
+    Where the sum of squares is finite and normal, this is the square root
+    of the dot product of the flattened array, as np.linalg.norm computes
+    it, so the bits are the same, without its dispatch; one element is
+    squared in Python, as ddot of one element does.  Where the squares
+    overflow or underflow, v is first divided by max|v| (Blue, ACM TOMS 4,
+    1978), so entries of 1e160 or 1e-300 give their norm, not inf or 0.
+    Zero, inf and NaN entries give sqrt(v.v): 0, inf and NaN.
+    """
     if v.size == 1:
+        # Python floats: s * s overflows to inf without a warning, and
+        # max|v| (||v / max|v||| = 1) is |s|
         s = v.item()
-        return math.sqrt(s * s)
+        ss = s * s
+        return math.sqrt(ss) if DBL_MIN <= ss <= DBL_MAX else abs(s)
+    # vdot is dot's ddot, bit for bit, without dot's overflow warning
     v = v.ravel(order="K")
-    return math.sqrt(v.dot(v))
+    ss = np.vdot(v, v)
+    if DBL_MIN <= ss <= DBL_MAX:
+        return math.sqrt(ss)
+    scale = float(np.abs(v).max())
+    if not 0.0 < scale <= DBL_MAX:      # zero, inf or NaN
+        return math.sqrt(ss)
+    w = v / scale
+    return scale * math.sqrt(np.vdot(w, w))
 
 
 def rcond(A: np.ndarray) -> float:
@@ -351,7 +369,7 @@ def kantorovich_data(problem: Problem, x0, mode: str = "newton",
     x0 = as_point(x0, problem.dimension)
     fx0 = problem.evaluate(x0)
     nf0 = problem.vector_norm(fx0)
-    if nf0 < 1e-300:
+    if nf0 == 0.0:
         raise AlreadyAtRootError("already at root: F(x0) = 0")
     lu, piv = factor_nonsingular(problem.jac(x0))
     B = problem.operator_norm(dgetrs(lu, piv, np.eye(problem.dimension))[0])

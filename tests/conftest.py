@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +21,28 @@ def f2():
 @pytest.fixture
 def example3():
     return builtin_problem("example3")
+
+
+def assert_euclidean_norm(got, v, ulps=4):
+    """got is ||v||_2: numpy's value bit for bit where the sum of squares
+    is finite and normal, and elsewhere within `ulps` of the norm from an
+    np.longdouble sum of squares, whose wider exponent range holds the
+    square of every double (x86-64; skipped where it does not)."""
+    v = np.asarray(v, dtype=float)
+    r = v.ravel()
+    with np.errstate(over="ignore"):    # numpy's dot warns
+        ss = r.dot(r)
+    if sys.float_info.min <= ss <= sys.float_info.max:
+        assert got == np.linalg.norm(v)
+        return
+    if np.finfo(np.longdouble).maxexp <= 1024:
+        pytest.skip("np.longdouble has the exponent range of a double")
+    w = r.astype(np.longdouble)
+    want = float(np.sqrt((w * w).sum()))
+    if math.isnan(want) or math.isinf(want) or want == 0.0:
+        assert got == want or math.isnan(got) and math.isnan(want)
+    else:
+        assert abs(got - want) <= ulps * np.spacing(want)
 
 
 def linear_problem(A, b=None, norm="euclidean"):

@@ -75,6 +75,14 @@ class TestAdimensionalize:
         with pytest.raises(AlreadyAtRootError):
             adimensionalize(f1, 1.0)
 
+    @pytest.mark.parametrize("k", [1e-170, 1e160])
+    def test_sigma_is_the_norm_at_any_value_scale(self, f1, k):
+        # ||F(x0)||^2 underflows at 1e-170 and overflows at 1e160
+        form = adimensionalize(apply_scaling(f1, LinearScaling(1.0, k)), 0.0)
+        assert form.sigma == pytest.approx(k * (1.0 - math.exp(-1.0)),
+                                           rel=1e-15)
+        assert form.T[0, 0] == pytest.approx(-1.0 / (math.e - 1.0), rel=1e-15)
+
     def test_singular_derivative(self):
         p = linear_problem(np.array([[1.0, 1.0], [1.0, 1.0]]), b=[1.0, 0.0])
         with pytest.raises(SingularOperatorError):

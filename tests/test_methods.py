@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from adimsolve.divdiff import DividedDifference
 from adimsolve.experiments import _log10_error_table
@@ -12,10 +15,12 @@ from adimsolve.methods import (ASIS, Bisection, DampedFirstOrder,
                                damped_steffensen_step, logarithmic_convexity,
                                newton_step, secant_step, solve,
                                steffensen_step)
-from adimsolve.problems import (Problem, SingularOperatorError,
+from adimsolve.problems import (DomainError, LinearScaling, Problem,
+                                SingularOperatorError, apply_scaling,
                                 builtin_problem, solve_linear)
 
-from conftest import linear_problem, random_quadratic_problem, recording
+from conftest import (assert_euclidean_norm, linear_problem,
+                      random_quadratic_problem, recording)
 
 E = math.e
 STOP = StoppingCriteria(step_tol=0.0, residual_tol=1e-14, max_iter=100)
@@ -392,10 +397,10 @@ class TestTraceSerialization:
         root = trace.iterates[3] if m == 1 else rng.standard_normal(m)
         assert trace.to_rows() == reference_rows(trace)
         assert trace.to_csv().count("\n") == n + 1
-        with np.errstate(over="ignore"):
-            errors = trace.errors(root)
-            want = np.array([np.linalg.norm(x - root) for x in trace.iterates])
-        assert errors.tobytes() == want.tobytes()
+        errors = trace.errors(root)
+        assert errors.dtype == np.float64 and errors.shape == (n,)
+        for e, x in zip(errors.tolist(), trace.iterates):
+            assert_euclidean_norm(e, x - root)
         errs = {"long": errors, "short": errors[:7],
                 "nan": np.array([0.5, np.nan, 0.0])}
         assert _log10_error_table(errs) == reference_log10_table(errs)
@@ -525,6 +530,94 @@ class TestAsis:
         assert np.array_equal(res.x_trace.iterates,
                               [res.form.to_original(res.form.y0)])
         assert res.x_trace.n_evals == 2     # G(y0) and the failed node
+
+    @pytest.mark.parametrize("k", [1.0, 1e160, 1e-170])
+    def test_converges_whatever_the_value_scale(self, f1, k):
+        # ||F(x0)|| squared overflows at k = 1e160 and underflows at
+        # k = 1e-170; sigma is still the norm, and the run is k = 1's
+        p = apply_scaling(f1, LinearScaling(c=1.0, k=k))
+        res = asis_solve(p, 0.0, StoppingCriteria(residual_tol=1e-10))
+        assert res.x_trace.status == "converged-by-residual"
+        assert res.x_trace.n_steps == 6
+        assert abs(res.x_trace.x_final[0] - 1.0) < 1e-10
+
+
+INVARIANCE_STOP = StoppingCriteria(step_tol=0.0, residual_tol=1e-10,
+                                   max_iter=100)
+
+
+def run_asis(p, x0):
+    res = asis_solve(p, x0, INVARIANCE_STOP)
+    return res.x_trace, res.y_trace.iterates
+
+
+def run_steffensen(p, x0):
+    return solve(p, Steffensen(), x0, INVARIANCE_STOP), None
+
+
+def invariance_mismatches(run, p, x0, root, c, k):
+    """How the run on x -> k F(c x) from x0/c differs from the run on F
+    from x0, where the paper's claim says it must not: status and step
+    count, the adimensional iterates (sign(k) y, to 1e-13), and the
+    x-errors (divided by |c|, to rounding)."""
+    x0, root = np.atleast_1d(x0), np.atleast_1d(root)
+    base, y_base = run(p, x0)
+    scaled, y_scaled = run(apply_scaling(p, LinearScaling(c, k)), x0 / c)
+    found = []
+    if (scaled.status, scaled.n_steps) != (base.status, base.n_steps):
+        found.append(f"status {scaled.status} in {scaled.n_steps} steps, "
+                     f"unscaled {base.status} in {base.n_steps}")
+        return found
+    if y_base is not None:
+        dev = max(float(np.max(np.abs(ys - math.copysign(1.0, k) * yb)))
+                  for ys, yb in zip(y_scaled, y_base))
+        if not dev <= 1e-13:
+            found.append(f"y-iterates off by {dev:.3g}")
+    e_base = base.errors(root)
+    e_scaled = scaled.errors(root / c) * abs(c)
+    if not np.allclose(e_scaled, e_base, rtol=1e-12, atol=1e-13):
+        found.append(f"x-errors off by {np.max(np.abs(e_scaled - e_base)):.3g}")
+    return found
+
+
+def scaled_jacobian_is_normal(p, x0, u, v):
+    """Whether the scaled problem's own F'(x0/c) = k c F'(x0) has its
+    nonzero entries in the normal range of a double, 10^(u + v) |F'(x0)|.
+    Outside, the problem is not representable: its Jacobian overflows (f1
+    at u + v > 308.7) or loses digits as a subnormal (below -307.2), and
+    no double-precision solver sees the scaled problem at all."""
+    J = np.abs(p.jac(x0))
+    lo, hi = math.log10(J[J > 0.0].min()), math.log10(J.max())
+    return (math.log10(sys.float_info.min) < u + v + lo
+            and u + v + hi < math.log10(sys.float_info.max))
+
+
+class TestScaleInvariance:
+    """The paper's claim: ASIS's run is unchanged by x -> k F(c x)."""
+
+    @pytest.mark.parametrize("name, x0, root", [
+        ("f1", 0.0, 1.0), ("example3", [0.0, 0.0], [1.0, -1.0])])
+    @given(u=st.floats(-150.0, 150.0), v=st.floats(-170.0, 160.0),
+           sc=st.sampled_from([-1.0, 1.0]), sk=st.sampled_from([-1.0, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_asis_runs_are_scale_invariant(self, name, x0, root, u, v, sc, sk):
+        p = builtin_problem(name)
+        assume(scaled_jacobian_is_normal(p, x0, u, v))
+        c, k = sc * 10.0 ** u, sk * 10.0 ** v
+        assert invariance_mismatches(run_asis, p, x0, root, c, k) == []
+
+    def test_beyond_the_normal_range_the_problem_fails_not_asis(self, f1):
+        # k c F'(0) = 1e310 e^-1: the scaled problem's own Jacobian is inf
+        p = apply_scaling(f1, LinearScaling(c=1e150, k=1e160))
+        assert not scaled_jacobian_is_normal(f1, 0.0, 150.0, 160.0)
+        with pytest.raises(DomainError):
+            p.jac(0.0)
+
+    def test_classic_steffensen_is_not(self, f1):
+        # f2(x) = f1(2x): Steffensen's node x + F(x) mixes units
+        found = invariance_mismatches(run_steffensen, f1, 0.0, 1.0, 2.0, 1.0)
+        assert found and found[0].startswith("status max-iter")
+        assert invariance_mismatches(run_asis, f1, 0.0, 1.0, 2.0, 1.0) == []
 
 
 class TestStoppingCriteria:

@@ -18,8 +18,9 @@ from adimsolve.problems import (AlreadyAtRootError, DomainError,
                                 euclidean_norm, factor_nonsingular,
                                 kantorovich_data, sample_k2, solve_linear)
 
-from conftest import (h_equation_kernel, h_equation_problem, linear_problem,
-                      quadratic_problem, random_quadratic_problem)
+from conftest import (assert_euclidean_norm, h_equation_kernel,
+                      h_equation_problem, linear_problem, quadratic_problem,
+                      random_quadratic_problem)
 
 E = math.e
 # Kantorovich threshold for f1: a = 1/2 exactly when K2 = 1
@@ -327,6 +328,14 @@ class TestKantorovichData:
         with pytest.raises(AlreadyAtRootError):
             kantorovich_data(f1, 1.0, k2=1.0)
 
+    def test_a_tiny_residual_is_not_a_root(self):
+        # F(x0) = (1e-300, 1e-300): its squares underflow, its norm does not
+        p = linear_problem(np.eye(2), b=[-1e-300, -1e-300])
+        for mode in ("newton", "asis"):
+            d = kantorovich_data(p, [0.0, 0.0], mode=mode)
+            assert d.B == 1.0
+            assert d.eta == pytest.approx(math.sqrt(2.0) * 1e-300, rel=1e-15)
+
     def test_singular_derivative(self):
         p = linear_problem(np.array([[1.0, 0.0], [0.0, 0.0]]), b=[1.0, 0.0])
         with pytest.raises(SingularOperatorError):
@@ -534,18 +543,33 @@ class TestNorms:
         assert p.operator_norm(A) == 3.5
         assert isinstance(p.operator_norm(A), float)
 
+    @pytest.mark.parametrize("s", [1e160, 1e-300, -1e200, 1e-170])
+    def test_euclidean_norm_is_scale_free(self, s):
+        # the squares overflow or underflow; numpy reads inf or 0
+        p = Problem(f=lambda x: x, dimension=2)
+        v = np.array([s, s])
+        assert euclidean_norm(v) == pytest.approx(math.sqrt(2.0) * abs(s),
+                                                  rel=1e-15)
+        assert p.vector_norm(v) == euclidean_norm(v)
+        assert euclidean_norm(np.array([s])) == abs(s)
+
+    def test_a_norm_beyond_the_range_is_inf_without_a_warning(self):
+        assert euclidean_norm(np.array([DBL_MAX, DBL_MAX])) == np.inf
+        assert euclidean_norm(np.array([DBL_MAX, 1.0])) == DBL_MAX
+
     @pytest.mark.parametrize("m", [1, 2, 10, 400])
     def test_euclidean_norms_match_numpy_bit_for_bit(self, m):
         rng = np.random.default_rng(m)
         p = Problem(f=lambda x: x, dimension=m)
         spread = 10.0 ** rng.uniform(-150.0, 150.0, m)
-        for scale in (1e-160, 1e-150, 1.0, 1e150, 1e160):  # 1e160 overflows
+        # at 1e160 the squares overflow and at 1e-160 they underflow, and
+        # numpy reads inf, or a 4th digit off; there the norm is scaled
+        for scale in (1e-160, 1e-150, 1.0, 1e150, 1e160):
             for v in (scale * rng.standard_normal(m),
                       scale * rng.standard_normal(2 * m)[::2],
                       rng.standard_normal(m) * spread):
-                with np.errstate(over="ignore"):
-                    assert p.vector_norm(v) == np.linalg.norm(v)
-                    assert euclidean_norm(v) == np.linalg.norm(v)
+                assert_euclidean_norm(p.vector_norm(v), v)
+                assert_euclidean_norm(euclidean_norm(v), v)
         iterates = [rng.standard_normal(m) * s for s in (1e-150, 1.0, 1e150)]
         root = rng.standard_normal(m)
         errors = IterationTrace(iterates=iterates).errors(root)
@@ -561,10 +585,13 @@ class TestNorms:
             for v in (np.array([s]), np.array([[s]]), np.array([s, 1.0])[::2]):
                 r = v.ravel()
                 with np.errstate(over="ignore"):    # numpy's dot warns
-                    want = math.sqrt(r.dot(r))
+                    ss = r.dot(r)
                 got = euclidean_norm(v)
                 assert type(got) is float
-                assert got == want or (math.isnan(got) and math.isnan(want))
+                if DBL_MIN <= ss <= DBL_MAX:
+                    assert got == math.sqrt(ss)
+                else:   # s * s overflows or underflows: |s|, scale-free
+                    assert got == abs(s) or (math.isnan(got) and math.isnan(s))
 
     def test_euclidean_operator_norm_of_a_column_a_row_and_a_scalar(self):
         # the one-column matrix [[3], [4]] has norm 5, not |A[0, 0]|
