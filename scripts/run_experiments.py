@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the bundled experiments end to end and write their traces/tables.
+"""Run the paper's CLI runs end to end and write their traces/tables.
 
 Usage: python scripts/run_experiments.py [OUT_DIR]
 
@@ -14,20 +14,10 @@ from adimsolve import cli
 
 def main() -> int:
     out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("results")
-    runs = [
-        ["example1"],
-        ["example2"],
-        ["example3"],
-        ["zigzag", "--b", "0.1"],
-        ["bounds-report", "--k2", "1.0", "--B", "1.0", "--eta", "0.5",
-         "--system", "newton"],
-        ["bounds-report", "--k2", "1.0", "--B", "1.0", "--eta", "0.5",
-         "--system", "steffensen"],
-    ]
     worst = 0
-    for argv in runs:
+    for argv in cli.PAPER_RUNS:
         print(f"== adimsolve {' '.join(argv)}")
-        code = cli.main(argv + ["--out", str(out / argv[0])])
+        code = cli.main([*argv, "--out", str(out / argv[0])])
         worst = max(worst, code)
     return worst
 

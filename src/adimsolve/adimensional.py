@@ -1,8 +1,9 @@
 """Adimensional forms of polynomials and of nonlinear maps.
 
 The form of F at a base point x0 is G(y) = F(x)/||F(x0)|| in the variable
-y = T x with T = -F'(x0)/||F(x0)||.  By construction ||G(y0)|| = 1 and
-G'(y0) = -I, and G is unchanged by linear rescalings of x and F.
+y = T (x - x0) with T = -F'(x0)/||F(x0)||.  By construction y0 = 0,
+||G(0)|| = 1 and G'(0) = -I, and G is unchanged by linear rescalings of x
+and F and by moving x's origin.
 """
 from __future__ import annotations
 
@@ -37,11 +38,11 @@ def lu_solve(lu_and_piv, b, trans: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AdimensionalForm:
-    """The transform y = T x (T = -F'(x0)/sigma) and the wrapped map G.
+    """The transform y = T (x - x0) (T = -F'(x0)/sigma) and the wrapped map G.
 
-    T is kept as an LU factorization; back-transforms solve T x = y rather
-    than forming T^{-1}.  x_c = T^-1 y0 is the point G(y0) evaluates, and
-    f_c = F(x_c) the value behind G(y0).
+    T is kept as an LU factorization; back-transforms solve T d = y and
+    return x0 + d rather than forming T^{-1}.  y0 = 0 is x0's image, and
+    f_c = F(x0) the value behind G(y0).
     """
 
     problem: Problem
@@ -51,16 +52,15 @@ class AdimensionalForm:
     y0: np.ndarray
     g: Problem = field(repr=False)
     _lu: tuple = field(repr=False)
-    x_c: np.ndarray = field(repr=False)
     f_c: np.ndarray = field(repr=False)
 
     def to_adimensional(self, x) -> np.ndarray:
         x = as_point(x, self.problem.dimension)
-        return self.T @ x
+        return self.T @ (x - self.x0)
 
     def to_original(self, y) -> np.ndarray:
         y = as_point(y, self.problem.dimension)
-        return lu_solve(self._lu, y)
+        return self.x0 + lu_solve(self._lu, y)
 
 
 def adimensionalize(problem: Problem, x0) -> AdimensionalForm:
@@ -72,7 +72,7 @@ def adimensionalize(problem: Problem, x0) -> AdimensionalForm:
     than DERIVATIVE_TOL (finite-difference check).
     """
     m = problem.dimension
-    x0 = as_point(x0, m)
+    x0 = as_point(x0, m).copy()
     fx0 = problem.evaluate(x0)
     sigma = problem.vector_norm(fx0)
     if sigma == 0.0:
@@ -84,13 +84,13 @@ def adimensionalize(problem: Problem, x0) -> AdimensionalForm:
     lu = lu_factor(T)
 
     def g_eval(y):
-        x = lu_solve(lu, as_vector(y))
+        x = x0 + lu_solve(lu, as_vector(y))
         return problem.evaluate(x) / sigma
 
     g_jac = None
     if problem.has_analytic_jacobian():
         def g_jac(y):
-            x = lu_solve(lu, as_vector(y))
+            x = x0 + lu_solve(lu, as_vector(y))
             # G'(y) = F'(x) T^{-1} / sigma, transposed: T^{-T} F'(x)^T
             # from T's LU
             Jf = problem.jac(x)
@@ -99,13 +99,8 @@ def adimensionalize(problem: Problem, x0) -> AdimensionalForm:
     g = Problem(f=g_eval, jacobian=g_jac, dimension=m, norm=problem.norm,
                 name=f"adim({problem.name})")
 
-    y0 = T @ x0
-    # the round trip T^-1 (T x0) often gives x0 back bit for bit, and then
-    # F(x0) serves; 0.0 and -0.0 are different points
-    x_c = lu_solve(lu, y0)
-    f_c = fx0 if x_c.tobytes() == x0.tobytes() else problem.evaluate(x_c)
-    form = AdimensionalForm(problem=problem, x0=x0, sigma=sigma, T=T, y0=y0,
-                            g=g, _lu=lu, x_c=x_c, f_c=f_c)
+    form = AdimensionalForm(problem=problem, x0=x0, sigma=sigma, T=T,
+                            y0=np.zeros(m), g=g, _lu=lu, f_c=fx0)
     report = check_normalization(form)
     if report["value_residual"] > NORMALIZATION_TOL:
         raise ValueError("adimensional form violates ||G(y0)|| = 1: "
@@ -119,38 +114,32 @@ def adimensionalize(problem: Problem, x0) -> AdimensionalForm:
 def check_normalization(obj) -> dict:
     """Residuals of the two normalization conditions.
 
-    For an AdimensionalForm: | ||G(y0)|| - 1 |, judged at the point x_c
-    that G(y0) evaluates, and ||G'(y0) + I|| with the derivative taken by
-    central differences.  For an AdimensionalPolynomial:
+    For an AdimensionalForm: | ||G(y0)|| - 1 | and ||G'(y0) + I|| with the
+    derivative taken by central differences.  For an AdimensionalPolynomial:
     |q(0) - 1| and |q'(0) + 1|.
     """
     if isinstance(obj, AdimensionalPolynomial):
         return {"value_residual": abs(obj(0.0) - 1.0),
                 "derivative_residual": abs(obj.derivative(0.0) + 1.0)}
     form: AdimensionalForm = obj
-    p, T, sigma, x_c = form.problem, form.T, form.sigma, form.x_c
-    # G(y) = F(T^-1 y)/sigma, so both checks run on F in x-space about
-    # x_c = T^-1 y0, the point G(y0) evaluates, with the form's F(x_c).
-    # The round trip y0 = T x0, x_c = T^-1 y0 moves x by rounding (an ulp
-    # of 1e6 changes F by ~1e-10 relative on exp(x - 1e6)); judge the value
-    # at the represented point: F(x_c)/sigma + T (x_c - x0) is F(x0)/sigma
-    # to first order
-    value_res = abs(p.vector_norm(form.f_c / sigma
-                                  + T @ (x_c - form.x0)) - 1.0)
+    p, T, sigma, x0 = form.problem, form.T, form.sigma, form.x0
+    # G(y) = F(x0 + T^-1 y)/sigma, so both checks run on F in x-space about
+    # x0, with the form's F(x0)
+    value_res = abs(p.vector_norm(form.f_c / sigma) - 1.0)
     # G'(y0) by central differences with an absolute step h in y (y is
-    # measured in Newton steps at y0, whatever |y0| is): the y-steps h e_j
-    # are the x-steps D = T^-1 (h I), all m from one solve.  x_c +- D
-    # rounds, so each column is compared with the step it represents,
+    # measured in Newton steps at x0): the y-steps h e_j are the x-steps
+    # D = T^-1 (h I), all m from one solve.  x0 +- D rounds by an ulp of
+    # |x0|, so each column is compared with the step it represents,
     # T S with S = X+ - X-, not with the nominal 2h e_j (Dennis & Schnabel,
     # App. A): R = [(F(X+) - F(X-))/sigma + T S] / 2h is G'(y0) + I up to
     # truncation and the rounding of F.
     m = p.dimension
     D = lu_solve(form._lu, CHECK_FD_STEP * np.eye(m))
-    # rows 2j and 2j + 1 of X are x_c +- D[:, j], all 2m points one checked
+    # rows 2j and 2j + 1 of X are x0 +- D[:, j], all 2m points one checked
     # stack of F evaluations
     X, FX = np.empty((2 * m, m)), np.empty((2 * m, m))
-    X[0::2] = x_c + D.T
-    X[1::2] = x_c - D.T
+    X[0::2] = x0 + D.T
+    X[1::2] = x0 - D.T
     p._evaluate_stack(X, FX)
     R = ((FX[0::2] - FX[1::2]).T / sigma
          + T @ (X[0::2] - X[1::2]).T) / (2.0 * CHECK_FD_STEP)

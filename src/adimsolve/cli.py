@@ -15,6 +15,21 @@ from . import experiments
 from .bounds import HypothesesNotSatisfied
 from .methods import StoppingCriteria
 
+# The paper's runs: the bundled experiments and the README's custom run.
+# tests/data/golden holds, byte for byte, every file they write.
+PAPER_RUNS = (
+    ("example1",),
+    ("example2",),
+    ("example3",),
+    ("zigzag", "--b", "0.1"),
+    ("bounds-report", "--k2", "1.0", "--B", "1.0", "--eta", "0.5",
+     "--system", "newton"),
+    ("bounds-report", "--k2", "1.0", "--B", "1.0", "--eta", "0.5",
+     "--system", "steffensen"),
+    ("custom", "--problem", "f1", "--method", "newton", "--method", "asis",
+     "--x0", "0.0"),
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(

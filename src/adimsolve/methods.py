@@ -182,7 +182,7 @@ class DampedSteffensen:
 
 @dataclass(frozen=True)
 class HFamily:
-    h: Callable = None  # adimensional correction factor h(L)
+    h: Callable  # adimensional correction factor h(L)
 
     def start(self, problem, x0, trace):
         return lambda x, fx: h_family_step(problem, x, self.h, fx=fx)
@@ -313,19 +313,23 @@ def _counting_copy(problem: Problem, counts: dict) -> Problem:
 
 def solve(problem: Problem, method, x0, stop: StoppingCriteria) -> IterationTrace:
     """Run an iteration to the stopping criteria; never raises on failure,
-    the trace status reports what happened."""
+    the trace status reports what happened.  numpy's floating-point
+    warnings are off inside: an overflow or a division by zero leaves a
+    non-finite value, which the finiteness checks report as
+    domain-failure whatever the warning filter."""
     counts = {"f": 0, "jac": 0}
     p = _counting_copy(problem, counts)
     trace = IterationTrace(used_fd_jacobian=not problem.has_analytic_jacobian())
     scalar_only = _scalar_only(method)
     try:
-        if scalar_only and p.dimension != 1:
-            trace.warnings.append(f"{scalar_only} is scalar-only")
-            trace.status = "domain-failure"
-        elif isinstance(method, Bisection):
-            trace.status = _solve_bisection(p, method, stop, trace)
-        else:
-            trace.status = _solve_iterative(p, method, x0, stop, trace)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            if scalar_only and p.dimension != 1:
+                trace.warnings.append(f"{scalar_only} is scalar-only")
+                trace.status = "domain-failure"
+            elif isinstance(method, Bisection):
+                trace.status = _solve_bisection(p, method, stop, trace)
+            else:
+                trace.status = _solve_iterative(p, method, x0, stop, trace)
     except SingularOperatorError:
         trace.status = "singular-operator"
     except DomainError:
@@ -425,9 +429,9 @@ def asis_solve(problem: Problem, x0, stop: StoppingCriteria,
                ) -> AsisResult:
     """Steffensen on the adimensional form, iterates mapped back to x-space.
 
-    G(y) = F(T^-1 y)/sigma, and the F value behind each G evaluation is kept
-    under y: G(y0) takes the F(x_c) of the form's check, and the residual at
-    a back-transformed iterate is the F(x) that G computed at the same x, so
+    G(y) = F(x0 + T^-1 y)/sigma, and the F value behind each G evaluation is
+    kept under y: G(y0) = G(0) takes the form's F(x0), and the residual at a
+    back-transformed iterate is the F(x) that G computed at the same x, so
     no point is evaluated twice.  n_evals counts G's calls.
     """
     form = adimensionalize(problem, x0)

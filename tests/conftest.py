@@ -107,6 +107,12 @@ def h_equation_problem(m, c):
                    dimension=m, name=f"H(m={m},c={c})")
 
 
+def moved(p, t):
+    """x -> F(x - t): p with its origin moved to t."""
+    return Problem(f=lambda x: p.f(x - t), jacobian=lambda x: p.jacobian(x - t),
+                   dimension=p.dimension, name=f"{p.name} moved by {t}")
+
+
 def recording(problem):
     """Copy of `problem` whose map and Jacobian log every argument they see:
     returns the copy and {"f": [points], "jac": [points]}."""

@@ -15,7 +15,7 @@ from adimsolve.problems import (AlreadyAtRootError, LinearScaling, Problem,
                                 SingularOperatorError, apply_scaling,
                                 builtin_problem)
 
-from conftest import (h_equation_problem, linear_problem,
+from conftest import (h_equation_problem, linear_problem, moved,
                       random_quadratic_problem, recording)
 
 E = math.e
@@ -71,6 +71,17 @@ class TestAdimensionalize:
         assert report["value_residual"] <= 1e-12
         assert report["derivative_residual"] <= 1e-8
 
+    def test_invariant_under_translation(self, f1):
+        # G built from F(x - t) at x0 + t is G built from F at x0, up to
+        # the rounding of x0 + t + T^-1 y
+        form = adimensionalize(f1, 0.0)
+        for t in (1.0, -1e3, 1e6):
+            form_t = adimensionalize(moved(f1, t), t)
+            for y in (-0.5, 0.0, 0.4, 0.9):
+                assert form_t.g.evaluate([y])[0] == pytest.approx(
+                    form.g.evaluate([y])[0], rel=0.0,
+                    abs=1e-15 + 8.0 * np.finfo(float).eps * abs(t))
+
     def test_already_at_root(self, f1):
         with pytest.raises(AlreadyAtRootError):
             adimensionalize(f1, 1.0)
@@ -114,7 +125,7 @@ class TestAdimensionalize:
         form = adimensionalize(problem, x0)
         for shift in (0.0, 0.05, -0.3):
             y = form.y0 + shift
-            x = scipy.linalg.lu_solve(form._lu, y)
+            x = form.x0 + scipy.linalg.lu_solve(form._lu, y)
             assert np.array_equal(form.to_original(y), x)
             assert np.array_equal(form.g.evaluate(y),
                                   problem.evaluate(x) / form.sigma)
@@ -136,59 +147,47 @@ class TestAdimensionalize:
 
     @pytest.mark.parametrize("shift", [100.0, 1000.0])
     def test_translated_form_is_accepted(self, shift):
-        # f1 moved by `shift`, from x0 = shift: |y0| ~ 0.58 shift, and a
-        # difference step relative to |y0| (1e-5 |y0|) would reject it
+        # f1 moved by `shift`, from x0 = shift: the form is centred at x0,
+        # so y0 is 0 whatever the shift
         p = Problem(f=lambda x: np.exp(x - 1.0 - shift) - 1.0,
                     jacobian=lambda x: np.exp(x - 1.0 - shift))
         form = adimensionalize(p, shift)
-        assert abs(form.y0[0]) > 0.5 * shift
+        assert form.y0[0] == 0.0
         assert check_normalization(form)["derivative_residual"] < 1e-9
 
     @pytest.mark.parametrize("shift", [1e4, 1e5, 1e6])
-    def test_translated_form_is_accepted_where_y0_rounds_the_step(self, shift):
-        # |y0| ~ 0.58 shift: y0 +- 1e-5 rounds by ~1e-7 (1e4) and ~1e-6
-        # (1e5) of the step, which a quotient over the nominal 2h turns into
-        # a residual of 2.7e-8 and 6.1e-7; the check divides by the step
-        # x_c +- D actually represents
+    def test_translated_form_is_accepted_where_x0_rounds_the_step(self, shift):
+        # x0 +- D rounds by an ulp of the shift, ~1e-7 (1e4) to ~1e-5 (1e6)
+        # of the step, which a quotient over the nominal 2h turns into a
+        # residual of 2.7e-8, 2.4e-7 and 1.9e-6; the check divides by the
+        # step x0 +- D actually represents
         p = Problem(f=lambda x: np.exp(x - 1.0 - shift) - 1.0,
                     jacobian=lambda x: np.exp(x - 1.0 - shift))
         report = check_normalization(adimensionalize(p, shift))
         assert report["derivative_residual"] < 1e-9
-        # at 1e6 the round trip x_c = T^-1 (T x0) misses x0 by an ulp,
-        # which moves F(x_c) by ~1e-10 relative: the value is judged at x_c
         assert report["value_residual"] <= 1e-15
 
-    def test_sigma_off_by_1e_9_is_rejected(self, f1):
-        # F(x0) reads 1e-9 high on its first evaluation only, so sigma is
-        # off by 1e-9 relative while T, and so G'(y0), stay consistent
-        calls = []
+    @pytest.mark.parametrize("x0", [0.0, 0.5])
+    def test_sigma_off_by_1e_9_is_rejected(self, f1, x0):
+        # sigma off by 1e-9 relative puts ||G(y0)|| = ||F(x0)||/sigma 1e-9
+        # below 1
+        form = adimensionalize(f1, x0)
+        off = dataclasses.replace(form, sigma=form.sigma * (1.0 + 1e-9))
+        residual = check_normalization(off)["value_residual"]
+        assert adimensional.NORMALIZATION_TOL < residual < 1.1e-9
 
-        def f(x):
-            calls.append(x)
-            return f1.f(x) * (1.0 + 1e-9 if len(calls) == 1 else 1.0)
-
-        p = dataclasses.replace(f1, f=f)
-        with pytest.raises(ValueError, match=r"violates \|\|G\(y0\)\|\| = 1"):
-            adimensionalize(p, 0.0)
-
-    @pytest.mark.parametrize("m, x0, x_c_is_x0", [
-        (1, 0.0, False),    # x_c = -0.0, a different point
-        (1, 0.5, True),
-        (3, None, True),
-        (10, None, False),
-    ])
-    def test_form_evaluates_each_point_once_and_one_jacobian(self, m, x0,
-                                                             x_c_is_x0):
-        # F(x0), F at x_c = T^-1 y0 for ||G(y0)|| unless the round trip
-        # gives x0 back bit for bit, and 2m difference points
+    @pytest.mark.parametrize("m, x0", [(1, 0.0), (1, 0.5), (3, None),
+                                       (10, None)])
+    def test_form_evaluates_each_point_once_and_one_jacobian(self, m, x0):
+        # F(x0), which also gives ||G(y0)||, and 2m difference points
         p, calls = recording(h_equation_problem(m, 0.78) if m > 1
                              else builtin_problem("f1"))
         form = adimensionalize(p, np.ones(m) if x0 is None else x0)
-        assert (form.x_c.tobytes() == form.x0.tobytes()) == x_c_is_x0
-        assert len(calls["f"]) == 2 * m + 2 - x_c_is_x0
+        assert len(calls["f"]) == 2 * m + 1
         assert len({x.tobytes() for x in calls["f"]}) == len(calls["f"])
         assert len(calls["jac"]) == 1
-        assert np.array_equal(form.f_c, p.evaluate(form.x_c))
+        assert calls["f"][0].tobytes() == form.x0.tobytes()
+        assert np.array_equal(form.f_c, p.evaluate(form.x0))
 
     def test_lu_solve_calls_do_not_grow_with_m(self, monkeypatch):
         n_calls = {"lu_solve": 0}
@@ -204,8 +203,8 @@ class TestAdimensionalize:
             n_calls["lu_solve"] = 0
             adimensionalize(h_equation_problem(m, 0.78), np.ones(m))
             per_m.append(n_calls["lu_solve"])
-        # x_c and the m directions D, one solve each
-        assert per_m == [2, 2, 2, 2]
+        # the m directions D, one solve
+        assert per_m == [1, 1, 1, 1]
 
     @pytest.mark.parametrize("m", [10, 100])
     def test_jacobian_off_by_1e_7_in_one_entry_is_rejected(self, m):

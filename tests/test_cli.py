@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from adimsolve.cli import build_parser, config_to_args, main
+from adimsolve.cli import PAPER_RUNS, build_parser, config_to_args, main
 from adimsolve.experiments import (method_from_name, run_bounds_report,
                                    run_custom, run_example1, run_zigzag,
                                    steepest_descent_zigzag)
@@ -130,25 +130,13 @@ class TestOutputFiles:
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
-GOLDEN_RUNS = (
-    ["example1"],
-    ["example2"],
-    ["example3"],
-    ["zigzag", "--b", "0.1"],
-    ["bounds-report", "--k2", "1.0", "--B", "1.0", "--eta", "0.5",
-     "--system", "newton"],
-    ["bounds-report", "--k2", "1.0", "--B", "1.0", "--eta", "0.5",
-     "--system", "steffensen"],
-    ["custom", "--problem", "f1", "--method", "newton", "--method", "asis",
-     "--x0", "0.0"],
-)
 
 
 def test_outputs_match_the_stored_golden_files(tmp_path, capsys):
     """The paper's runs write the same bytes as the stored reference files
     (iterates, residuals and tables unchanged to the last bit)."""
-    for argv in GOLDEN_RUNS:
-        assert main(argv + ["--out", str(tmp_path)]) == 0
+    for argv in PAPER_RUNS:
+        assert main([*argv, "--out", str(tmp_path)]) == 0
     written = sorted(p.name for p in tmp_path.iterdir())
     assert written == sorted(p.name for p in GOLDEN.iterdir())
     for name in written:

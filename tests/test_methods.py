@@ -19,7 +19,7 @@ from adimsolve.problems import (DomainError, LinearScaling, Problem,
                                 SingularOperatorError, apply_scaling,
                                 builtin_problem, solve_linear)
 
-from conftest import (assert_euclidean_norm, linear_problem,
+from conftest import (assert_euclidean_norm, linear_problem, moved,
                       random_quadratic_problem, recording)
 
 E = math.e
@@ -172,6 +172,18 @@ class TestSolveDriver:
         assert trace.warnings == [f"{what} is scalar-only"]
         assert trace.n_evals == len(calls["f"]) == 0
         assert trace.iterates == []
+
+    def test_an_overflowing_jacobian_is_a_domain_failure(self, example3):
+        # k c F'(0) leaves the double range in numpy's product; pytest runs
+        # with error::RuntimeWarning, so a warning out of solve would raise
+        p = apply_scaling(example3, LinearScaling(1e150, 1e158))
+        trace = solve(p, Newton(), [0.0, 0.0], StoppingCriteria())
+        assert trace.status == "domain-failure"
+
+    def test_h_family_needs_its_h(self):
+        # without h a run would fail inside the loop, calling None
+        with pytest.raises(TypeError):
+            HFamily()
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_overflowing_steffensen_node(self, m):
@@ -477,26 +489,23 @@ class TestAsis:
         assert np.allclose(res.x_trace.x_final, [1.0, -1.0], atol=1e-8)
 
     @pytest.mark.parametrize("name, x0, n_calls", [
-        # x_c = T^-1 T x0 is -0.0 or has a -0.0: a point of its own
-        ("f1", 0.0, 16),
-        ("example3", [0.0, 0.0], 27),
-        # x_c is x0 bit for bit, and F(x0) serves for it
+        ("f1", 0.0, 15),
+        ("example3", [0.0, 0.0], 26),
         ("f1", 0.5, 12),
         ("example3", [0.3, -0.2], 23),
     ])
     def test_each_point_is_evaluated_once(self, name, x0, n_calls):
-        # the form's F(x0), F(x_c) and 2m difference points, then at most
-        # m + 1 per step on G: G(y0) is the form's F(x_c), and the
-        # back-transform reuses the F(x) behind each G(y)
+        # the form's F(x0) and 2m difference points, then at most m + 1 per
+        # step on G: G(y0) is the form's F(x0), and the back-transform
+        # reuses the F(x) behind each G(y)
         p, calls = recording(builtin_problem(name))
         res = asis_solve(p, x0, StoppingCriteria())
         assert len(calls["f"]) == n_calls
         assert len({x.tobytes() for x in calls["f"]}) == n_calls
         # the reported count is still that of G's calls, G(y0) among them
-        form = res.form
-        n_form = 2 * p.dimension + 2 - (form.x_c.tobytes() == form.x0.tobytes())
+        n_form = 2 * p.dimension + 1
         assert res.x_trace.n_evals == res.y_trace.n_evals == n_calls - n_form + 1
-        assert res.x_trace.residual_norms[0] == p.vector_norm(form.f_c)
+        assert res.x_trace.residual_norms[0] == p.vector_norm(res.form.f_c)
 
     @pytest.mark.parametrize("dd", ["componentwise", "integral"])
     @pytest.mark.parametrize("name, x0", [("f1", [0.0]),
@@ -514,17 +523,17 @@ class TestAsis:
             p.vector_norm(b - a) for a, b in zip(xs, xs[1:])]
 
     def test_a_failure_in_the_first_step_keeps_the_residual_at_y0(self, f1):
-        # F fails from its 5th call on: after the form's 2m + 2 = 4 calls,
-        # at the first Steffensen node, since G(y0) is the form's F(x_c)
+        # F fails from its 4th call on: after the form's 2m + 1 = 3 calls,
+        # at the first Steffensen node, since G(y0) is the form's F(x0)
         n_calls = [0]
 
         def f(x):
             n_calls[0] += 1
-            return np.nan if n_calls[0] > 4 else f1.f(x)
+            return np.nan if n_calls[0] > 3 else f1.f(x)
 
         p = Problem(f=f, jacobian=f1.jacobian)
         res = asis_solve(p, 0.0, STOP)
-        assert n_calls[0] == 5
+        assert n_calls[0] == 4
         assert res.x_trace.status == "domain-failure"
         assert res.x_trace.residual_norms == [p.vector_norm(res.form.f_c)]
         assert np.array_equal(res.x_trace.iterates,
@@ -540,6 +549,29 @@ class TestAsis:
         assert res.x_trace.status == "converged-by-residual"
         assert res.x_trace.n_steps == 6
         assert abs(res.x_trace.x_final[0] - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("p, x0", [
+        (builtin_problem("f1"), [0.0]),
+        (builtin_problem("zigzag", b=0.1), [0.1, 1.0]),
+        (builtin_problem("example3"), [0.3, -0.7])])
+    def test_the_first_iterate_is_the_callers_x0(self, p, x0):
+        # y0 = 0 maps back to x0 + 0, bit for bit the caller's x0
+        res = asis_solve(p, x0, STOP)
+        assert res.x_trace.iterates[0].tobytes() == np.array(x0).tobytes()
+
+    @pytest.mark.parametrize("name, x0, root, n_steps", [
+        ("f1", [0.0], [1.0], 6), ("example3", [0.0, 0.0], [1.0, -1.0], 7)])
+    def test_converges_far_from_the_origin(self, name, x0, root, n_steps):
+        # moved by 1e6 and started at the moved x0, the run is the unmoved
+        # one's: y is centred at x0, so Steffensen in y never works on
+        # numbers of size 1e6
+        t = 1e6
+        p = moved(builtin_problem(name), t)
+        res = asis_solve(p, np.array(x0) + t, StoppingCriteria(0.0, 1e-15, 100))
+        assert res.x_trace.status == "converged-by-residual"
+        assert res.x_trace.n_steps == n_steps
+        assert np.allclose(res.x_trace.x_final, np.array(root) + t,
+                           rtol=0.0, atol=1e-9)
 
 
 INVARIANCE_STOP = StoppingCriteria(step_tol=0.0, residual_tol=1e-10,
@@ -618,6 +650,25 @@ class TestScaleInvariance:
         found = invariance_mismatches(run_steffensen, f1, 0.0, 1.0, 2.0, 1.0)
         assert found and found[0].startswith("status max-iter")
         assert invariance_mismatches(run_asis, f1, 0.0, 1.0, 2.0, 1.0) == []
+
+
+class TestTranslationInvariance:
+    """The form about x0 does not see where x's origin is."""
+
+    @pytest.mark.parametrize("name, x0, root", [
+        ("f1", [0.0], [1.0]), ("example3", [0.0, 0.0], [1.0, -1.0])])
+    @given(u=st.floats(0.0, 10.0), sign=st.sampled_from([-1.0, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_asis_finds_the_moved_root(self, name, x0, root, u, sign):
+        # step counts are not asserted: the moved problem rounds its own
+        # values, which moves them by a few steps
+        t = sign * 10.0 ** u
+        p = builtin_problem(name)
+        base = asis_solve(p, x0, INVARIANCE_STOP).x_trace
+        res = asis_solve(moved(p, t), np.array(x0) + t, INVARIANCE_STOP).x_trace
+        assert res.status == base.status
+        err = np.abs(res.x_final - t - np.array(root))
+        assert np.all(err <= 1e-9 + 4.0 * np.finfo(float).eps * abs(t))
 
 
 class TestStoppingCriteria:
