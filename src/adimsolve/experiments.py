@@ -16,10 +16,9 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .divdiff import DividedDifference
-from .methods import (ASIS, AsisResult, Bisection, DampedFirstOrder,
-                      DampedSteffensen, FixedSlope, HFamily, IterationTrace,
-                      Newton, Secant, Steffensen, StoppingCriteria,
-                      asis_solve, solve)
+from .methods import (ASIS, AsisResult, DampedFirstOrder, DampedSteffensen,
+                      FixedSlope, HFamily, IterationTrace, Newton, Secant,
+                      Steffensen, StoppingCriteria, asis_solve, solve)
 from .problems import KantorovichData, Problem, builtin_problem
 
 EXPERIMENTS = ("example1", "example2", "example3", "zigzag", "bounds-report",
@@ -31,7 +30,6 @@ def halley_h(L: float) -> float:
 
 
 def method_from_name(name: str, x0=None, lam: float = 1.0,
-                     bracket: Optional[Tuple[float, float]] = None,
                      dd_variant: str = "componentwise"):
     dd = DividedDifference(dd_variant)
     if name == "newton":
@@ -51,10 +49,6 @@ def method_from_name(name: str, x0=None, lam: float = 1.0,
         return FixedSlope(c=lam)
     if name == "halley":
         return HFamily(h=halley_h)
-    if name == "bisection":
-        if bracket is None:
-            raise ValueError("bisection needs a bracket")
-        return Bisection(lo=bracket[0], hi=bracket[1])
     raise ValueError(f"unknown method {name!r}")
 
 

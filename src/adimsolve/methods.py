@@ -13,13 +13,18 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .adimensional import AdimensionalForm, adimensionalize
+from .adimensional import AdimensionalForm, FormRejectedError, adimensionalize
 from .divdiff import DividedDifference
-from .problems import (DomainError, Problem, SingularOperatorError, as_point,
-                       as_vector, euclidean_norm, solve_linear)
+from .problems import (AlreadyAtRootError, DomainError, Problem,
+                       SingularOperatorError, as_point, as_vector,
+                       euclidean_norm, solve_linear)
 
 DIVERGENCE_NORM = 1e12
 DIVERGENCE_RESIDUAL_GROWTH = 1e6
+# numpy's floating-point warnings, off inside solve and asis_solve: an
+# overflow or a division by zero leaves a non-finite value, which the
+# finiteness checks report whatever the warning filter
+QUIET = dict(over="ignore", divide="ignore", invalid="ignore")
 
 
 # -- stopping criteria and traces -------------------------------------------
@@ -190,6 +195,8 @@ class HFamily:
 
 @dataclass(frozen=True)
 class ASIS:
+    """Scale-invariant Steffensen; solve runs it through asis_solve."""
+
     dd: DividedDifference = DividedDifference("componentwise")
 
 
@@ -314,26 +321,30 @@ def _counting_copy(problem: Problem, counts: dict) -> Problem:
 def solve(problem: Problem, method, x0, stop: StoppingCriteria) -> IterationTrace:
     """Run an iteration to the stopping criteria; never raises on failure,
     the trace status reports what happened.  numpy's floating-point
-    warnings are off inside: an overflow or a division by zero leaves a
-    non-finite value, which the finiteness checks report as
-    domain-failure whatever the warning filter."""
+    warnings are off inside (QUIET).  n_evals and n_jac_evals count every
+    call of F and F', ASIS's setup included."""
     counts = {"f": 0, "jac": 0}
     p = _counting_copy(problem, counts)
     trace = IterationTrace(used_fd_jacobian=not problem.has_analytic_jacobian())
     scalar_only = _scalar_only(method)
     try:
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        with np.errstate(**QUIET):
             if scalar_only and p.dimension != 1:
                 trace.warnings.append(f"{scalar_only} is scalar-only")
                 trace.status = "domain-failure"
             elif isinstance(method, Bisection):
                 trace.status = _solve_bisection(p, method, stop, trace)
+            elif isinstance(method, ASIS):
+                trace.status = _solve_asis(p, method, x0, stop, trace)
             else:
                 trace.status = _solve_iterative(p, method, x0, stop, trace)
     except SingularOperatorError:
         trace.status = "singular-operator"
     except DomainError:
         trace.status = "domain-failure"
+    except FormRejectedError as exc:
+        trace.warnings.append(str(exc))
+        trace.status = "form-rejected"
     trace.n_evals = counts["f"]
     trace.n_jac_evals = counts["jac"]
     return trace
@@ -375,6 +386,24 @@ def _solve_iterative(p: Problem, method, x0, stop: StoppingCriteria,
                 or res > DIVERGENCE_RESIDUAL_GROWTH * max(min_res, 1e-300)):
             return "diverged"
     return "max-iter"
+
+
+def _solve_asis(p: Problem, method: ASIS, x0, stop: StoppingCriteria,
+                trace: IterationTrace) -> str:
+    """ASIS by asis_solve, its x-trace copied.  Until the form is built the
+    trace holds x0 alone, its residual NaN; F(x0) = 0 makes that 0.0."""
+    trace.iterates.append(as_point(x0, p.dimension).copy())
+    trace.residual_norms.append(float("nan"))
+    try:
+        x_trace = asis_solve(p, x0, stop, method.dd).x_trace
+    except AlreadyAtRootError:
+        trace.residual_norms[0] = 0.0
+        return "converged-by-residual"
+    trace.iterates = x_trace.iterates
+    trace.residual_norms = x_trace.residual_norms
+    trace.step_norms = x_trace.step_norms
+    trace.warnings += x_trace.warnings
+    return x_trace.status
 
 
 def _solve_bisection(p: Problem, method: Bisection, stop: StoppingCriteria,
@@ -429,35 +458,38 @@ def asis_solve(problem: Problem, x0, stop: StoppingCriteria,
                ) -> AsisResult:
     """Steffensen on the adimensional form, iterates mapped back to x-space.
 
-    G(y) = F(x0 + T^-1 y)/sigma, and the F value behind each G evaluation is
-    kept under y: G(y0) = G(0) takes the form's F(x0), and the residual at a
-    back-transformed iterate is the F(x) that G computed at the same x, so
-    no point is evaluated twice.  n_evals counts G's calls.
+    G(y) = F(x0 + T^-1 y)/sigma, and the point x and value F(x) behind each
+    G evaluation are kept under y: G(y0) = G(0) takes the form's F(x0), and
+    the back-transform reads each iterate's x and F(x) from there, so no
+    point is mapped or evaluated twice.  n_evals counts G's calls, not the
+    form's setup; solve(problem, ASIS(), ...) counts both.  Raises what
+    adimensionalize raises, with numpy's warnings off (QUIET).
     """
-    form = adimensionalize(problem, x0)
-    f_at = {form.y0.tobytes(): form.f_c}
+    with np.errstate(**QUIET):
+        form = adimensionalize(problem, x0)
+        x_and_f = {form.y0.tobytes(): (form.to_original(form.y0), form.f_c)}
 
-    def g_eval(y):
-        y = as_vector(y)
-        key = y.tobytes()
-        fx = f_at.get(key)
-        if fx is None:
-            fx = f_at[key] = problem.evaluate(form.to_original(y))
-        return fx / form.sigma
+        def g_eval(y):
+            y = as_vector(y)
+            key = y.tobytes()
+            if key not in x_and_f:
+                x = form.to_original(y)
+                x_and_f[key] = x, problem.evaluate(x)
+            return x_and_f[key][1] / form.sigma
 
-    g = dataclasses.replace(form.g, f=g_eval)
-    y_trace = solve(g, Steffensen(dd=dd), form.y0, stop)
-    x_trace = IterationTrace(status=y_trace.status,
-                             n_evals=y_trace.n_evals,
-                             n_jac_evals=y_trace.n_jac_evals,
-                             used_fd_jacobian=y_trace.used_fd_jacobian,
-                             warnings=list(y_trace.warnings))
-    prev = None
-    for y in y_trace.iterates:
-        x = form.to_original(y)
-        x_trace.iterates.append(x)
-        x_trace.residual_norms.append(problem.vector_norm(f_at[y.tobytes()]))
-        if prev is not None:
-            x_trace.step_norms.append(problem.vector_norm(x - prev))
-        prev = x
+        g = dataclasses.replace(form.g, f=g_eval)
+        y_trace = solve(g, Steffensen(dd=dd), form.y0, stop)
+        x_trace = IterationTrace(status=y_trace.status,
+                                 n_evals=y_trace.n_evals,
+                                 n_jac_evals=y_trace.n_jac_evals,
+                                 used_fd_jacobian=y_trace.used_fd_jacobian,
+                                 warnings=list(y_trace.warnings))
+        prev = None
+        for y in y_trace.iterates:
+            x, fx = x_and_f[y.tobytes()]
+            x_trace.iterates.append(x)
+            x_trace.residual_norms.append(problem.vector_norm(fx))
+            if prev is not None:
+                x_trace.step_norms.append(problem.vector_norm(x - prev))
+            prev = x
     return AsisResult(x_trace=x_trace, y_trace=y_trace, form=form)

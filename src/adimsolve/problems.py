@@ -242,13 +242,10 @@ def euclidean_norm(v: np.ndarray) -> float:
     return scale * math.sqrt(np.vdot(w, w))
 
 
-def rcond(A: np.ndarray) -> float:
-    """Reciprocal condition estimate (smallest/largest singular value)."""
-    A = np.atleast_2d(A)
-    s = np.linalg.svd(A, compute_uv=False)
-    if s[0] == 0.0:
-        return 0.0
-    return float(s[-1] / s[0])
+def rcond(lu: np.ndarray, A: np.ndarray) -> float:
+    """LAPACK's 1-norm reciprocal condition estimate of A (gecon, Hager's
+    method) from the LU factors lu that getrf returned for it."""
+    return dgecon(lu, dlange("1", A), norm="1")[0]
 
 
 def factor_nonsingular(A: np.ndarray):
@@ -268,7 +265,7 @@ def factor_nonsingular(A: np.ndarray):
     """
     A = as_matrix(A)
     lu, piv, info = dgetrf(A)
-    rc = dgecon(lu, dlange("1", A), norm="1")[0] if info == 0 else 0.0
+    rc = rcond(lu, A) if info == 0 else 0.0
     if not rc >= RCOND_FLOOR:
         raise SingularOperatorError("singular linear operator (rcond < 1e-14)")
     return lu, piv

@@ -99,6 +99,29 @@ class TestAdimensionalize:
         with pytest.raises(SingularOperatorError):
             adimensionalize(p, [0.0, 0.0])
 
+    def test_derivative_is_gated_by_the_step_operators_test(self):
+        # T is judged by factor_nonsingular's gecon floor of 1e-14, as every
+        # step operator is
+        p = linear_problem(np.diag([1.0, 1e-15]), b=[1.0, 1.0])
+        with pytest.raises(SingularOperatorError,
+                           match=r"singular linear operator \(rcond < 1e-14\)"):
+            adimensionalize(p, [0.0, 0.0])
+        form = adimensionalize(linear_problem(np.diag([1.0, 1e-13]),
+                                              b=[1.0, 1.0]), [0.0, 0.0])
+        assert form.T[1, 1] == -1e-13 / math.sqrt(2.0)
+
+    @pytest.mark.parametrize("problem, x0", [
+        (builtin_problem("f1"), [0.0]),
+        (builtin_problem("example3"), [0.3, -0.7]),
+        (h_equation_problem(10, 0.78), np.ones(10)),
+        (h_equation_problem(100, 0.78), np.ones(100)),
+    ])
+    def test_t_factors_are_those_of_scipy_lu_factor(self, problem, x0):
+        form = adimensionalize(problem, x0)
+        lu, piv = scipy.linalg.lu_factor(form.T)
+        assert np.array_equal(form._lu[0], lu)
+        assert np.array_equal(form._lu[1], piv)
+
     def test_analytic_g_jacobian_minus_identity(self, example3):
         form = adimensionalize(example3, [0.0, 0.0])
         Jg = form.g.jac(form.y0)
@@ -247,10 +270,11 @@ class TestAdimensionalPolynomial:
         assert q.derivative(s) == pytest.approx(0.3 * s ** 2 + 0.4 * s - 1.0)
         assert q.second_derivative(s) == pytest.approx(0.6 * s + 0.4)
 
-    def test_normalization_report(self):
-        report = check_normalization(AdimensionalPolynomial(a=0.3))
-        assert report["value_residual"] == 0.0
-        assert report["derivative_residual"] == 0.0
+    @pytest.mark.parametrize("a, b", [(0.3, 0.0), (0.5, 0.7), (1e10, 1e20)])
+    def test_normalized_at_zero(self, a, b):
+        q = AdimensionalPolynomial(a=a, b=b)
+        assert q(0.0) == 1.0
+        assert q.derivative(0.0) == -1.0
 
     def test_as_problem(self):
         q = AdimensionalPolynomial(a=0.5)

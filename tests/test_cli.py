@@ -59,6 +59,13 @@ class TestExitCodes:
                      "--method", "asis", "--x0", "0.0"])
         assert code == 0
 
+    def test_custom_bisection_is_an_unknown_method(self, capsys):
+        # a bisection needs a bracket, which the custom run has no flag for
+        code = main(["custom", "--problem", "f1", "--method", "bisection",
+                     "--x0", "0.0"])
+        assert code == 2
+        assert "unknown method 'bisection'" in capsys.readouterr().err
+
 
 class TestOutputFiles:
     def test_csv_outputs(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from adimsolve import adimensional
 from adimsolve.divdiff import DividedDifference
 from adimsolve.experiments import _log10_error_table
 from adimsolve.methods import (ASIS, Bisection, DampedFirstOrder,
@@ -572,6 +573,101 @@ class TestAsis:
         assert res.x_trace.n_steps == n_steps
         assert np.allclose(res.x_trace.x_final, np.array(root) + t,
                            rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("name, x0, n_lu_solves", [
+        ("f1", 0.0, 14), ("example3", [0.0, 0.0], 23)])
+    def test_each_point_is_mapped_to_x_once(self, monkeypatch, name, x0,
+                                            n_lu_solves):
+        # one solve for the check's directions, one for the seed y0 and one
+        # per G call after G(y0): F - 2m + J in all; the back-transform
+        # reads the x that G mapped
+        n_calls = [0]
+        real = adimensional.lu_solve
+
+        def counting(*args, **kwargs):
+            n_calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(adimensional, "lu_solve", counting)
+        p, calls = recording(builtin_problem(name))
+        asis_solve(p, x0, StoppingCriteria())
+        m = p.dimension
+        assert n_calls[0] == len(calls["f"]) - 2 * m + len(calls["jac"])
+        assert n_calls[0] == n_lu_solves
+
+    def test_a_non_finite_t_is_a_domain_failure(self):
+        # F(x) = x from the least subnormal: sigma = 5e-324, T = -inf
+        p = Problem(f=lambda x: x, jacobian=lambda x: 1.0)
+        with pytest.raises(DomainError, match="non-finite T"):
+            asis_solve(p, 5e-324, StoppingCriteria())
+
+    def test_the_setup_runs_with_numpys_warnings_off(self, example3):
+        # k c F'(x0) overflows in the Jacobian of the form's setup; with
+        # pytest's error::RuntimeWarning a warning would escape instead
+        p = apply_scaling(example3, LinearScaling(1e150, 1e158))
+        with pytest.raises(DomainError, match="non-finite Jacobian"):
+            asis_solve(p, [0.0, 0.0], StoppingCriteria())
+
+
+class TestAsisThroughSolve:
+    @pytest.mark.parametrize("dd", ["componentwise", "integral"])
+    @pytest.mark.parametrize("problem, x0", [
+        (builtin_problem("f1"), 0.0), (builtin_problem("f1"), 2.5),
+        (builtin_problem("example3"), [0.0, 0.0]),
+        (builtin_problem("zigzag", b=0.1), [0.1, 1.0])])
+    def test_the_trace_is_asis_solves(self, dd, problem, x0):
+        p, calls = recording(problem)
+        method = ASIS(DividedDifference(dd))
+        trace = solve(p, method, x0, STOP)
+        n_f, n_jac = len(calls["f"]), len(calls["jac"])
+        ref = asis_solve(p, x0, STOP, method.dd).x_trace
+        assert trace.status == ref.status
+        assert len(trace.iterates) == len(ref.iterates)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(trace.iterates, ref.iterates))
+        assert trace.residual_norms == ref.residual_norms
+        assert trace.step_norms == ref.step_norms
+        assert trace.warnings == ref.warnings
+        # solve counts the form's setup too
+        assert (trace.n_evals, trace.n_jac_evals) == (n_f, n_jac)
+        assert trace.n_evals == ref.n_evals + 2 * p.dimension
+
+    def test_f1_counts_every_call(self, f1):
+        trace = solve(f1, ASIS(), 0.0, StoppingCriteria())
+        assert trace.status == "converged-by-residual"
+        assert (trace.n_evals, trace.n_jac_evals) == (15, 1)
+
+    def test_a_rejected_form_is_a_status(self, f1):
+        # F' 10% off: G'(y0) = -1/1.1
+        p = Problem(f=f1.f, jacobian=lambda x: 1.1 * f1.jacobian(x))
+        trace = solve(p, ASIS(), 0.0, STOP)
+        assert trace.status == "form-rejected"
+        assert trace.warnings[0].startswith(
+            "adimensional form violates G'(y0) = -I")
+        assert trace.iterates[0].tobytes() == np.array([0.0]).tobytes()
+        assert (trace.n_evals, trace.n_jac_evals) == (3, 1)
+
+    def test_at_the_root_the_run_has_converged(self, f1):
+        trace = solve(f1, ASIS(), 1.0, STOP)
+        assert trace.status == "converged-by-residual"
+        assert np.array_equal(trace.iterates, [[1.0]])
+        assert trace.residual_norms == [0.0]
+        assert trace.step_norms == []
+        assert trace.n_evals == 1
+
+    def test_a_singular_derivative_is_a_status(self):
+        p = linear_problem(np.diag([1.0, 1e-15]), b=[1.0, 1.0])
+        trace = solve(p, ASIS(), [0.0, 0.0], STOP)
+        assert trace.status == "singular-operator"
+        assert trace.n_steps == 0
+
+    @pytest.mark.parametrize("p, x0", [
+        (Problem(f=lambda x: x, jacobian=lambda x: 1.0), 5e-324),
+        (apply_scaling(builtin_problem("example3"),
+                       LinearScaling(1e150, 1e158)), [0.0, 0.0]),
+        (Problem(f=np.log, jacobian=lambda x: 1.0 / x), 0.0)])
+    def test_a_domain_failure_in_the_setup_is_a_status(self, p, x0):
+        assert solve(p, ASIS(), x0, STOP).status == "domain-failure"
 
 
 INVARIANCE_STOP = StoppingCriteria(step_tol=0.0, residual_tol=1e-10,
