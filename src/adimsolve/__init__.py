@@ -3,8 +3,8 @@ adimensional (scale-invariant) preprocessing, a-priori error-bound
 recurrences, and empirical convergence-order estimation."""
 
 from .adimensional import (AdimensionalForm, AdimensionalPolynomial,
-                           FormRejectedError, adimensional_polynomial,
-                           adimensionalize, check_normalization)
+                           adimensional_polynomial, adimensionalize,
+                           check_normalization)
 from .bounds import (BoundSequences, ErrorEnvelopes, HypothesesNotSatisfied,
                      MajorizingRoots, cubic_positive_roots, error_envelopes,
                      majorizing_roots, newton_on_adim_poly, newton_rate,

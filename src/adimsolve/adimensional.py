@@ -23,10 +23,8 @@ DERIVATIVE_TOL = 1e-8       # allowed ||G'(y0) + I||, G' by finite differences
 # ~eps/step, stays far below DERIVATIVE_TOL at m = 100, where the step of
 # fd_jacobian (1e-7) leaves ~1e-8 and rejected sound forms.
 CHECK_FD_STEP = 1e-5
-
-
-class FormRejectedError(ValueError):
-    """The constructed form misses ||G(y0)|| = 1 or G'(y0) = -I."""
+# how the message of a rejected form begins
+FORM_REJECTED = "adimensional form violates"
 
 
 def lu_solve(lu_and_piv, b, trans: int = 0) -> np.ndarray:
@@ -72,8 +70,9 @@ def adimensionalize(problem: Problem, x0) -> AdimensionalForm:
     T is factored once by factor_nonsingular, whose gecon test judges
     F'(x0) as it judges every step operator.  Raises AlreadyAtRootError when
     F(x0) = 0, DomainError when T is not finite, SingularOperatorError when
-    it is singular, and FormRejectedError when the form misses ||G(y0)|| = 1
-    by more than NORMALIZATION_TOL or G'(y0) = -I by more than DERIVATIVE_TOL.
+    it is singular, and a ValueError whose message starts with FORM_REJECTED
+    when the form misses ||G(y0)|| = 1 by more than NORMALIZATION_TOL or
+    G'(y0) = -I by more than DERIVATIVE_TOL.
     """
     m = problem.dimension
     x0 = as_point(x0, m).copy()
@@ -106,11 +105,11 @@ def adimensionalize(problem: Problem, x0) -> AdimensionalForm:
                             y0=np.zeros(m), g=g, _lu=lu, f_c=fx0)
     report = check_normalization(form)
     if report["value_residual"] > NORMALIZATION_TOL:
-        raise FormRejectedError("adimensional form violates ||G(y0)|| = 1: "
-                                f"residual {report['value_residual']:.3e}")
+        raise ValueError(f"{FORM_REJECTED} ||G(y0)|| = 1: "
+                         f"residual {report['value_residual']:.3e}")
     if report["derivative_residual"] > DERIVATIVE_TOL:
-        raise FormRejectedError("adimensional form violates G'(y0) = -I: "
-                                f"residual {report['derivative_residual']:.3e}")
+        raise ValueError(f"{FORM_REJECTED} G'(y0) = -I: "
+                         f"residual {report['derivative_residual']:.3e}")
     return form
 
 

@@ -13,7 +13,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .adimensional import AdimensionalForm, FormRejectedError, adimensionalize
+from .adimensional import FORM_REJECTED, AdimensionalForm, adimensionalize
 from .divdiff import DividedDifference
 from .problems import (AlreadyAtRootError, DomainError, Problem,
                        SingularOperatorError, as_point, as_vector,
@@ -322,7 +322,13 @@ def solve(problem: Problem, method, x0, stop: StoppingCriteria) -> IterationTrac
     """Run an iteration to the stopping criteria; never raises on failure,
     the trace status reports what happened.  numpy's floating-point
     warnings are off inside (QUIET).  n_evals and n_jac_evals count every
-    call of F and F', ASIS's setup included."""
+    call of F and F', ASIS's setup included.
+
+    ASIS applies stop in y-space, as asis_solve does: residual_tol bounds
+    ||G(y)|| = ||F(x)||/||F(x0)||, and step_tol and the divergence test
+    measure y.  Its stop is thus relative, and a converged-by-residual
+    ASIS trace may end at ||F(x)|| up to ||F(x0)||*residual_tol, where
+    every other method bounds ||F(x)|| by residual_tol itself."""
     counts = {"f": 0, "jac": 0}
     p = _counting_copy(problem, counts)
     trace = IterationTrace(used_fd_jacobian=not problem.has_analytic_jacobian())
@@ -342,9 +348,6 @@ def solve(problem: Problem, method, x0, stop: StoppingCriteria) -> IterationTrac
         trace.status = "singular-operator"
     except DomainError:
         trace.status = "domain-failure"
-    except FormRejectedError as exc:
-        trace.warnings.append(str(exc))
-        trace.status = "form-rejected"
     trace.n_evals = counts["f"]
     trace.n_jac_evals = counts["jac"]
     return trace
@@ -391,7 +394,8 @@ def _solve_iterative(p: Problem, method, x0, stop: StoppingCriteria,
 def _solve_asis(p: Problem, method: ASIS, x0, stop: StoppingCriteria,
                 trace: IterationTrace) -> str:
     """ASIS by asis_solve, its x-trace copied.  Until the form is built the
-    trace holds x0 alone, its residual NaN; F(x0) = 0 makes that 0.0."""
+    trace holds x0 alone, its residual NaN; F(x0) = 0 makes that 0.0, and
+    a rejected form reads form-rejected with its message in warnings."""
     trace.iterates.append(as_point(x0, p.dimension).copy())
     trace.residual_norms.append(float("nan"))
     try:
@@ -399,6 +403,11 @@ def _solve_asis(p: Problem, method: ASIS, x0, stop: StoppingCriteria,
     except AlreadyAtRootError:
         trace.residual_norms[0] = 0.0
         return "converged-by-residual"
+    except ValueError as exc:
+        if not str(exc).startswith(FORM_REJECTED):
+            raise
+        trace.warnings.append(str(exc))
+        return "form-rejected"
     trace.iterates = x_trace.iterates
     trace.residual_norms = x_trace.residual_norms
     trace.step_norms = x_trace.step_norms

@@ -647,6 +647,21 @@ class TestAsisThroughSolve:
         assert trace.iterates[0].tobytes() == np.array([0.0]).tobytes()
         assert (trace.n_evals, trace.n_jac_evals) == (3, 1)
 
+    def test_the_stop_is_relative_to_the_residual_at_x0(self, f1):
+        # residual_tol bounds ||G(y)|| = ||F(x)||/sigma: f1 scaled by 1e6
+        # stops at the step it stops at unscaled, with ||F(x)|| far above
+        # residual_tol
+        stop = StoppingCriteria(step_tol=0.0, residual_tol=1e-8)
+        base = solve(f1, ASIS(), 0.0, stop)
+        scaled = solve(apply_scaling(f1, LinearScaling(1.0, 1e6)), ASIS(),
+                       0.0, stop)
+        assert (scaled.status, scaled.n_steps) == (base.status, base.n_steps)
+        assert scaled.status == "converged-by-residual"
+        sigma = scaled.residual_norms[0]
+        assert stop.residual_tol < scaled.residual_norms[-1]
+        assert scaled.residual_norms[-1] <= sigma * stop.residual_tol
+        assert base.residual_norms[-1] <= base.residual_norms[0] * 1e-8
+
     def test_at_the_root_the_run_has_converged(self, f1):
         trace = solve(f1, ASIS(), 1.0, STOP)
         assert trace.status == "converged-by-residual"
