@@ -660,7 +660,8 @@ class TestAsisThroughSolve:
         sigma = scaled.residual_norms[0]
         assert stop.residual_tol < scaled.residual_norms[-1]
         assert scaled.residual_norms[-1] <= sigma * stop.residual_tol
-        assert base.residual_norms[-1] <= base.residual_norms[0] * stop.residual_tol
+        assert (base.residual_norms[-1]
+                <= base.residual_norms[0] * stop.residual_tol)
 
     def test_at_the_root_the_run_has_converged(self, f1):
         trace = solve(f1, ASIS(), 1.0, STOP)
