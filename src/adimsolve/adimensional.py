@@ -11,11 +11,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgetrs
 
 # rcond is imported for perfbench/tracer.py, which patches this lookup site
 from .problems import (AlreadyAtRootError, DomainError, Problem, all_finite,
-                       as_point, as_vector, factor_nonsingular, rcond)
+                       as_point, as_vector, factor_nonsingular, lu_solve,
+                       rcond)
 
 NORMALIZATION_TOL = 1e-12   # allowed | ||G(y0)|| - 1 |
 DERIVATIVE_TOL = 1e-8       # allowed ||G'(y0) + I||, G' by finite differences
@@ -25,16 +25,6 @@ DERIVATIVE_TOL = 1e-8       # allowed ||G'(y0) + I||, G' by finite differences
 CHECK_FD_STEP = 1e-5
 # how the message of a rejected form begins
 FORM_REJECTED = "adimensional form violates"
-
-
-def lu_solve(lu_and_piv, b, trans: int = 0) -> np.ndarray:
-    """x with T x = b (trans=1: T^T x = b) from T's LU factors (lu, piv):
-    LAPACK getrs, the routine and call scipy.linalg.lu_solve makes, with
-    its check that b is finite but without its batching and dispatch."""
-    lu, piv = lu_and_piv
-    if not all_finite(b):
-        raise ValueError("array must not contain infs or NaNs")
-    return dgetrs(lu, piv, b, trans=trans)[0]
 
 
 @dataclass(frozen=True)
@@ -61,6 +51,8 @@ class AdimensionalForm:
 
     def to_original(self, y) -> np.ndarray:
         y = as_point(y, self.problem.dimension)
+        if not all_finite(y):   # the one right-hand side from outside
+            raise ValueError("array must not contain infs or NaNs")
         return self.x0 + lu_solve(self._lu, y)
 
 

@@ -16,10 +16,11 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .divdiff import DividedDifference
-from .methods import (ASIS, AsisResult, DampedFirstOrder, DampedSteffensen,
-                      FixedSlope, HFamily, IterationTrace, Newton, Secant,
-                      Steffensen, StoppingCriteria, asis_solve, solve)
-from .problems import KantorovichData, Problem, builtin_problem
+from .methods import (ASIS, DampedFirstOrder, DampedSteffensen, FixedSlope,
+                      HFamily, IterationTrace, Newton, Secant, Steffensen,
+                      StoppingCriteria, asis_solve, solve)
+from .problems import (AlreadyAtRootError, DomainError, KantorovichData,
+                       SingularOperatorError, builtin_problem)
 
 EXPERIMENTS = ("example1", "example2", "example3", "zigzag", "bounds-report",
                "custom")
@@ -361,9 +362,14 @@ def run_custom(problem_name: str, methods: List[str], x0,
     for name in methods:
         method = method_from_name(name, x0=x0, lam=lam, dd_variant=dd_variant)
         if isinstance(method, ASIS):
-            asis = asis_solve(problem, x0, stop, dd=method.dd)
-            res.traces[name] = asis.x_trace
-            res.traces[name + "_adimensional"] = asis.y_trace
+            try:
+                asis = asis_solve(problem, x0, stop, dd=method.dd)
+            except (AlreadyAtRootError, SingularOperatorError, DomainError):
+                # a failed setup has no y-trace; solve reads it as a status
+                res.traces[name] = solve(problem, method, x0, stop)
+            else:
+                res.traces[name] = asis.x_trace
+                res.traces[name + "_adimensional"] = asis.y_trace
         else:
             res.traces[name] = solve(problem, method, x0, stop)
         res.check(f"{name} terminated cleanly",

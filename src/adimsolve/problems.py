@@ -181,16 +181,22 @@ class Problem:
         return J
 
     def second_derivative(self, x) -> float:
-        """Scalar second derivative; finite differences of f' as fallback."""
+        """Scalar second derivative; finite differences of f' as fallback.
+        A non-finite value, from d2f or from an overflowing quotient, is a
+        DomainError."""
         if self.dimension != 1:
             raise ValueError("second_derivative is scalar-only")
         x = as_point(x, 1)
         if self.d2f is not None:
-            return float(self.d2f(x[0]))
-        h = max(1e-5, 1e-5 * abs(x[0]))
-        jp = self.jac(x + h)[0, 0]
-        jm = self.jac(x - h)[0, 0]
-        return float((jp - jm) / (2.0 * h))
+            d2 = float(self.d2f(x[0]))
+        else:
+            h = max(1e-5, 1e-5 * abs(x[0]))
+            # Python floats: an overflowing difference is inf, unwarned
+            d2 = (float(self.jac(x + h)[0, 0])
+                  - float(self.jac(x - h)[0, 0])) / (2.0 * h)
+        if not math.isfinite(d2):
+            raise DomainError("domain failure: non-finite second derivative")
+        return d2
 
     # -- norms --------------------------------------------------------------
 
@@ -271,6 +277,14 @@ def factor_nonsingular(A: np.ndarray):
     return lu, piv
 
 
+def lu_solve(lu_and_piv, b, trans: int = 0) -> np.ndarray:
+    """x with A x = b (trans=1: A^T x = b) from A's factors (lu, piv) by
+    factor_nonsingular: LAPACK getrs, called as scipy.linalg.lu_solve calls
+    it, without scipy's batching, dispatch and check that b is finite."""
+    lu, piv = lu_and_piv
+    return dgetrs(lu, piv, b, trans=trans)[0]
+
+
 def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dense solve through one LU factorization, singular operators
     rejected as in factor_nonsingular.
@@ -286,8 +300,7 @@ def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         h = A.item()
         if LANE_MIN <= abs(h) <= LANE_MAX:
             return np.array([b.item() / h])
-    lu, piv = factor_nonsingular(A)
-    return dgetrs(lu, piv, b)[0]
+    return lu_solve(factor_nonsingular(A), b)
 
 
 # -- linear rescalings ------------------------------------------------------
@@ -368,10 +381,10 @@ def kantorovich_data(problem: Problem, x0, mode: str = "newton",
     nf0 = problem.vector_norm(fx0)
     if nf0 == 0.0:
         raise AlreadyAtRootError("already at root: F(x0) = 0")
-    lu, piv = factor_nonsingular(problem.jac(x0))
-    B = problem.operator_norm(dgetrs(lu, piv, np.eye(problem.dimension))[0])
+    lu = factor_nonsingular(problem.jac(x0))
+    B = problem.operator_norm(lu_solve(lu, np.eye(problem.dimension)))
     if mode == "newton":
-        eta = problem.vector_norm(dgetrs(lu, piv, fx0)[0])
+        eta = problem.vector_norm(lu_solve(lu, fx0))
     else:
         eta = B * nf0
     if k2 is None:

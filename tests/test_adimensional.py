@@ -7,11 +7,12 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adimsolve import adimensional
+from adimsolve import adimensional, problems
 from adimsolve.adimensional import (AdimensionalPolynomial,
                                     adimensional_polynomial, adimensionalize,
                                     check_normalization)
-from adimsolve.problems import (AlreadyAtRootError, LinearScaling, Problem,
+from adimsolve.problems import (AlreadyAtRootError, DomainError,
+                                LinearScaling, Problem,
                                 SingularOperatorError, apply_scaling,
                                 builtin_problem)
 
@@ -154,6 +155,15 @@ class TestAdimensionalize:
                                   problem.evaluate(x) / form.sigma)
             Jg = scipy.linalg.lu_solve(form._lu, problem.jac(x).T, trans=1).T
             assert np.array_equal(form.g.jac(y), Jg / form.sigma)
+
+    def test_the_solve_is_the_librarys_one_lu_solve(self):
+        assert adimensional.lu_solve is problems.lu_solve
+
+    def test_g_jac_at_a_non_finite_point_fails_in_f_prime(self, f1):
+        # only to_original checks its y; G' judges F' at x = x0 + T^-1 y
+        form = adimensionalize(f1, 0.0)
+        with pytest.raises(DomainError, match="non-finite Jacobian"):
+            form.g.jac([np.nan])
 
     def test_back_transform_rejects_a_non_finite_point(self, example3):
         form = adimensionalize(example3, [0.0, 0.0])

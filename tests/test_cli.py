@@ -3,12 +3,14 @@ from pathlib import Path
 
 import pytest
 
+from adimsolve import experiments
 from adimsolve.cli import PAPER_RUNS, build_parser, config_to_args, main
 from adimsolve.experiments import (method_from_name, run_bounds_report,
                                    run_custom, run_example1, run_zigzag,
                                    steepest_descent_zigzag)
 from adimsolve.methods import (ASIS, HFamily, Newton, Steffensen,
                                StoppingCriteria)
+from adimsolve.problems import Problem, builtin_problem
 
 
 class TestExitCodes:
@@ -58,6 +60,35 @@ class TestExitCodes:
         code = main(["custom", "--problem", "f1", "--method", "newton",
                      "--method", "asis", "--x0", "0.0"])
         assert code == 0
+
+    @pytest.mark.parametrize("method", ["newton", "asis"])
+    @pytest.mark.parametrize("problem, x0, status", [
+        ("example3", ["0", "-1.5"], "singular-operator"),
+        ("f1", ["1.0"], "converged-by-residual")],
+        ids=["singular-derivative", "at-the-root"])
+    def test_custom_setup_failures_are_statuses(self, method, problem, x0,
+                                                status, tmp_path, capsys):
+        # F'(x0) singular, F(x0) = 0: ASIS reads its setup as solve does,
+        # and a failed setup writes no adimensional trace
+        code = main(["custom", "--problem", problem, "--method", method,
+                     "--x0", *x0, "--out", str(tmp_path)])
+        assert code == 0
+        assert (f"[PASS] custom_{problem}: {method} terminated cleanly  "
+                f"({status})") in capsys.readouterr().out
+        assert [p.name for p in tmp_path.iterdir()] == [
+            f"custom_{problem}_{method}.csv"]
+
+    def test_custom_asis_rejected_form_exit_2(self, monkeypatch, capsys):
+        # F' 10% off: G'(y0) = -1/1.1
+        f1 = builtin_problem("f1")
+        off = Problem(f=f1.f, jacobian=lambda x: 1.1 * f1.jacobian(x))
+        monkeypatch.setattr(experiments, "builtin_problem",
+                            lambda name, **params: off)
+        code = main(["custom", "--problem", "f1", "--method", "asis",
+                     "--x0", "0.0"])
+        assert code == 2
+        assert ("error: adimensional form violates G'(y0) = -I"
+                in capsys.readouterr().err)
 
     def test_custom_bisection_is_an_unknown_method(self, capsys):
         # a bisection needs a bracket, which the custom run has no flag for

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from adimsolve import adimensional
 from adimsolve.divdiff import DividedDifference
-from adimsolve.experiments import _log10_error_table
+from adimsolve.experiments import _log10_error_table, halley_h
 from adimsolve.methods import (ASIS, Bisection, DampedFirstOrder,
                                DampedSteffensen, FixedSlope, HFamily,
                                IterationTrace, Newton, Secant, Steffensen,
@@ -93,6 +93,28 @@ class TestSolveDriver:
         trace = solve(f1, method, 0.5, STOP)
         assert trace.status.startswith("converged")
         assert abs(trace.x_final[0] - 1.0) < 1e-10
+
+    def test_a_step_below_step_tol_stops_the_run(self, f1):
+        stop = StoppingCriteria(step_tol=1e-6, residual_tol=0.0, max_iter=200)
+        trace = solve(f1, FixedSlope(c=0.5), 0.5, stop)
+        assert trace.status == "converged-by-step"
+        assert trace.n_steps == 20
+        assert trace.step_norms[-1] <= 1e-6 < trace.step_norms[-2]
+
+    def test_a_non_finite_second_derivative_is_a_domain_failure(self, f1):
+        # L = inf made halley_h(L) = -0.0: a zero step read as convergence
+        p = Problem(f=f1.f, jacobian=f1.jacobian, d2f=lambda x: np.inf)
+        trace = solve(p, HFamily(halley_h), 0.0, STOP)
+        assert trace.status == "domain-failure"
+
+    @pytest.mark.parametrize("method", [ASIS(), Newton(), Steffensen()])
+    def test_a_value_error_of_f_is_raised(self, method):
+        def f(x):
+            raise ValueError("boom")
+
+        p = Problem(f=f, jacobian=lambda x: 1.0)
+        with pytest.raises(ValueError, match="boom"):
+            solve(p, method, 0.0, STOP)
 
     def test_newton_on_example3(self, example3):
         trace = solve(example3, Newton(), [0.0, 0.0], STOP)

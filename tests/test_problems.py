@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dgetrs, dlange
@@ -16,7 +17,8 @@ from adimsolve.problems import (AlreadyAtRootError, DomainError,
                                 SingularOperatorError, apply_scaling,
                                 as_matrix, as_point, builtin_problem,
                                 euclidean_norm, factor_nonsingular,
-                                kantorovich_data, sample_k2, solve_linear)
+                                kantorovich_data, lu_solve, sample_k2,
+                                solve_linear)
 
 from conftest import (assert_euclidean_norm, h_equation_kernel,
                       h_equation_problem, linear_problem, quadratic_problem,
@@ -256,6 +258,37 @@ class TestJacobian:
         Jfd = p.fd_jacobian(np.asarray(x))
         assert np.allclose(Jfd, J, rtol=1e-5, atol=1e-7)
 
+    def test_an_analytic_jacobian_of_the_wrong_shape_is_rejected(self):
+        p = Problem(f=lambda v: v, jacobian=lambda v: np.eye(3), dimension=2)
+        with pytest.raises(ValueError, match="Jacobian has wrong shape"):
+            p.jac([0.0, 0.0])
+
+
+class TestSecondDerivative:
+    def test_finite_differences_of_f_prime_without_d2f(self, f1):
+        p = dataclasses.replace(f1, d2f=None)
+        for x in (-0.5, 0.0, 1.0, 2.5):
+            assert p.second_derivative(x) == pytest.approx(math.exp(x - 1.0),
+                                                           rel=1e-8)
+
+    def test_scaled_d2f_is_k_c_squared_f_second(self, f1):
+        k, c = 3.0, -0.5
+        scaled = apply_scaling(f1, LinearScaling(c=c, k=k))
+        for x in (-1.0, 0.0, 0.7, 4.0):
+            assert scaled.second_derivative(x) == pytest.approx(
+                k * c * c * math.exp(c * x - 1.0), rel=1e-15)
+
+    @pytest.mark.parametrize("p", [
+        Problem(f=np.exp, jacobian=np.exp, d2f=lambda x: np.inf),
+        Problem(f=np.exp, jacobian=np.exp, d2f=lambda x: np.nan),
+        # f' jumps by 2e308 across 0: the difference quotient overflows
+        Problem(f=lambda x: 1e308 * abs(x),
+                jacobian=lambda x: math.copysign(1e308, x)),
+    ])
+    def test_a_non_finite_value_is_a_domain_error(self, p):
+        with pytest.raises(DomainError, match="non-finite second derivative"):
+            p.second_derivative(0.0)
+
 
 class TestScaling:
     def test_f1_doubled_is_f2(self, f1, f2):
@@ -349,6 +382,24 @@ class TestKantorovichData:
         eta = data.eta
         expected = math.exp(x0 + 2.0 * eta - 1.0)
         assert data.k2 == pytest.approx(expected, rel=1e-2)
+
+    @pytest.mark.parametrize("mode", ["newton", "asis"])
+    @pytest.mark.parametrize("problem, x0", [
+        (builtin_problem("f1"), [0.9]),
+        (builtin_problem("example3"), [0.2, -0.4]),
+        (h_equation_problem(10, 0.78), np.ones(10))])
+    def test_b_and_eta_are_scipys(self, problem, x0, mode):
+        # B and eta from scipy's factor and solve of F'(x0), bit for bit
+        x0 = np.asarray(x0, dtype=float)
+        lu = scipy.linalg.lu_factor(problem.jac(x0))
+        fx0 = problem.evaluate(x0)
+        B = problem.operator_norm(scipy.linalg.lu_solve(lu, np.eye(len(x0))))
+        if mode == "newton":
+            eta = problem.vector_norm(scipy.linalg.lu_solve(lu, fx0))
+        else:
+            eta = B * problem.vector_norm(fx0)
+        data = kantorovich_data(problem, x0, mode=mode, k2=1.0)
+        assert (data.B, data.eta) == (B, eta)
 
     @given(c=st.floats(0.1, 10.0), k=st.floats(0.1, 10.0))
     @settings(max_examples=30, deadline=None)
@@ -607,6 +658,20 @@ class TestNorms:
         v = [3.0, -4.0]
         assert p_e.vector_norm(v) == 5.0
         assert p_m.vector_norm(v) == 4.0
+
+
+class TestLuSolve:
+    @pytest.mark.parametrize("trans", [0, 1])
+    @pytest.mark.parametrize("m", [1, 2, 10, 100])
+    def test_bits_are_scipys(self, m, trans):
+        rng = np.random.default_rng(m)
+        A = rng.standard_normal((m, m)) + m * np.eye(m)
+        lu = factor_nonsingular(A)
+        for b in (rng.standard_normal(m), rng.standard_normal((m, m))):
+            got = lu_solve(lu, b, trans=trans)
+            ref = scipy.linalg.lu_solve(lu, b, trans=trans)
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestSolveLinear:
