@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import experiments
+from . import divdiff, experiments, problems
 from .bounds import HypothesesNotSatisfied
 from .methods import StoppingCriteria
 
@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("custom", help="named problem, chosen methods")
     p.add_argument("--problem", required=True,
-                   choices=("f1", "f2", "example3", "zigzag"))
+                   choices=tuple(problems.BUILTIN_PROBLEMS))
     p.add_argument("--method", action="append", default=None,
                    help="repeatable; e.g. newton, steffensen, asis, secant, "
                         "halley, damped-steffensen")
@@ -76,8 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--b", type=float, default=0.1)
-    p.add_argument("--dd", choices=("componentwise", "integral"),
-                   default="componentwise")
+    p.add_argument("--dd", choices=divdiff.VARIANTS, default="componentwise")
     common(p)
     return parser
 

@@ -11,7 +11,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .problems import Problem, as_point
+from .problems import Problem, as_point, as_vector
 
 COINCIDENT_TOL = 1e-14
 DEFAULT_QUAD_NODES = 8
@@ -22,8 +22,8 @@ VARIANTS = ("componentwise", "integral")
 @dataclass(frozen=True)
 class DividedDifference:
     """Choice of operator: componentwise telescope (at m = 1 the scalar
-    quotient) or Gauss-Legendre quadrature of the Jacobian along the
-    segment."""
+    quotient of scalar_dd) or Gauss-Legendre quadrature of the Jacobian
+    along the segment."""
 
     variant: str = "componentwise"
     quad_nodes: int = DEFAULT_QUAD_NODES
@@ -40,6 +40,12 @@ class DividedDifference:
         neither."""
         if self.variant == "integral":
             return integral_dd(problem, x, y, self.quad_nodes)
+        if problem.dimension == 1:
+            # numpy scalars, so an overflowing quotient warns as on arrays
+            h = scalar_dd(problem, as_point(x, 1)[0], as_point(y, 1)[0],
+                          None if fx is None else as_vector(fx)[0],
+                          None if fy is None else as_vector(fy)[0])
+            return np.array([[h]])
         return componentwise_dd(problem, x, y, fx, fy)
 
 
@@ -51,7 +57,8 @@ def scalar_dd(problem: Problem, x: float, y: float,
               fx: Optional[float] = None, fy: Optional[float] = None) -> float:
     """(f(x) - f(y)) / (x - y); falls back to f'(x) on coincident nodes.
     Known values fx = f(x), fy = f(y) are not evaluated again.  The
-    reference for componentwise_dd at m = 1, which gives the same bits."""
+    componentwise operator at m = 1; componentwise_dd's telescope gives
+    the same bits there, but for the sign of a zero quotient."""
     if problem.dimension != 1:
         raise ValueError("scalar_dd requires a scalar problem")
     if _coincident(x, y):
@@ -71,24 +78,14 @@ def componentwise_dd(problem: Problem, x, y, fx=None, fy=None) -> np.ndarray:
     interpolatory identity holds exactly up to rounding.  Each z_k is
     evaluated at most once, and the endpoints z_0 = x and z_m = y not at
     all when their values fx, fy are given, so a full operator costs m - 1
-    new F evaluations.  The points to evaluate are one checked stack (at
-    m = 1 there is no inner point, and no stack), and the columns one
-    subtraction and one division over it.  Columns with y_j = x_j (to
-    1e-14 relative) take the Jacobian column, and a point only they would
-    use is not evaluated.
+    new F evaluations.  The points to evaluate are one checked stack, and
+    the columns one subtraction and one division over it.  Columns with
+    y_j = x_j (to 1e-14 relative) take the Jacobian column, and a point
+    only they would use is not evaluated.
     """
     m = problem.dimension
     x = as_point(x, m)
     y = as_point(y, m)
-    if m == 1:
-        # one column and no inner point: a stack would only add array work
-        H = np.empty((1, 1))
-        if not _coincident(x.item(), y.item()):
-            H[0] = ((problem.evaluate(y) if fy is None else fy)
-                    - (problem.evaluate(x) if fx is None else fx)) / (y - x)
-        else:
-            H[0] = problem.jac(x)[0]
-        return H
     # Python floats: the same IEEE arithmetic as numpy scalars, at less cost
     live = [not _coincident(xj, yj) for xj, yj in zip(x.tolist(), y.tolist())]
     dead = [j for j, ok in enumerate(live) if not ok]

@@ -327,11 +327,12 @@ def run_bounds_report(k2: float, B: float, eta: float, system: str = "newton",
                       N: int = 20, override: bool = False) -> ExperimentResult:
     data = KantorovichData(k2=k2, B=B, eta=eta)
     res = ExperimentResult(name=f"bounds_{system}")
-    if data.a > 0.5 and not override:
+    if data.a > bounds_mod.A_MAX and not override:
         raise bounds_mod.HypothesesNotSatisfied(
             f"hypotheses not satisfied: a = {data.a:.6g} > 1/2")
     a = data.a
-    s_star = bounds_mod.majorizing_roots(a).s_star if a <= 0.5 else float("nan")
+    s_star = (bounds_mod.majorizing_roots(a).s_star if a <= bounds_mod.A_MAX
+              else float("nan"))
     seqs = bounds_mod.bound_sequences(a, N, system)
     # the Newton system has no b_n and c_n; a cell past a sequence's end is empty
     columns = [seqs.a_seq, seqs.b_seq, seqs.c_seq, seqs.d_seq, seqs.r_seq,

@@ -124,16 +124,10 @@ class Problem:
         return fx
 
     def jac(self, x) -> np.ndarray:
-        x = as_point(x, self.dimension)
-        if self.jacobian is not None:
-            J = as_matrix(self.jacobian(x if self.dimension > 1 else x[0]))
-            if J.shape != (self.dimension, self.dimension):
-                raise ValueError("Jacobian has wrong shape")
-        else:
-            J = self.fd_jacobian(x)
-        if not all_finite(J):
-            raise DomainError("domain failure: non-finite Jacobian")
-        return J
+        """F'(x): the one-row _jac_stack, under its checks."""
+        J = np.empty((1, self.dimension, self.dimension))
+        self._jac_stack(as_point(x, self.dimension)[np.newaxis], J)
+        return J[0]
 
     def _evaluate_stack(self, Z: np.ndarray, FZ: np.ndarray) -> None:
         """F at each row of Z into FZ, of shape (len(Z), m), under evaluate's
@@ -153,15 +147,16 @@ class Problem:
             raise DomainError("domain failure: non-finite value of F")
 
     def _jac_stack(self, X: np.ndarray, J: np.ndarray) -> None:
-        """F' at each row of X into J, of shape (len(X), m, m), under jac's
-        checks: an analytic Jacobian is called directly, its shape checked
-        per call and the finiteness of the whole stack tested once."""
+        """F' at each row of X into J, of shape (len(X), m, m): all of X
+        tested finite once, the user's Jacobian called directly (central
+        differences where there is none) with its shape checked per call,
+        and all of J tested finite once."""
         m = self.dimension
-        if self.jacobian is None:
-            J[:] = [self.jac(x) for x in X]
-            return
+        if not all_finite(X):
+            raise DomainError("non-finite input point")
         for i, x in enumerate(X):
-            Ji = as_matrix(self.jacobian(x if m > 1 else x[0]))
+            Ji = (self.fd_jacobian(x) if self.jacobian is None
+                  else as_matrix(self.jacobian(x if m > 1 else x[0])))
             if Ji.shape != (m, m):
                 raise ValueError("Jacobian has wrong shape")
             J[i] = Ji
@@ -169,24 +164,30 @@ class Problem:
             raise DomainError("domain failure: non-finite Jacobian")
 
     def fd_jacobian(self, x) -> np.ndarray:
-        """Central finite differences, step h = max(1e-7, 1e-7*|x_j|)."""
-        x = as_point(x, self.dimension)
+        """Central finite differences, step h = max(1e-7, 1e-7*|x_j|); the
+        2m points x +- h_j e_j are one checked stack of F evaluations."""
         m = self.dimension
-        J = np.empty((m, m))
-        for j in range(m):
-            h = max(FD_STEP, FD_STEP * abs(x[j]))
-            xp = x.copy(); xp[j] += h
-            xm = x.copy(); xm[j] -= h
-            J[:, j] = (self.evaluate(xp) - self.evaluate(xm)) / (2.0 * h)
-        return J
+        x = as_point(x, m)
+        h = np.maximum(FD_STEP, FD_STEP * np.abs(x))
+        # rows 2j and 2j + 1 are x with x_j alone moved by +h_j and -h_j,
+        # so a -0.0 in any other coordinate stays -0.0
+        X = np.repeat(x[np.newaxis], 2 * m, axis=0)
+        j = np.arange(m)
+        X[2 * j, j] += h
+        X[2 * j + 1, j] -= h
+        FX = np.empty((2 * m, m))
+        self._evaluate_stack(X, FX)
+        return np.divide((FX[0::2] - FX[1::2]).T, 2.0 * h, out=np.empty((m, m)))
 
     def second_derivative(self, x) -> float:
         """Scalar second derivative; finite differences of f' as fallback.
-        A non-finite value, from d2f or from an overflowing quotient, is a
-        DomainError."""
+        A non-finite point, and a non-finite value from d2f or from an
+        overflowing quotient, is a DomainError."""
         if self.dimension != 1:
             raise ValueError("second_derivative is scalar-only")
         x = as_point(x, 1)
+        if not math.isfinite(x[0]):
+            raise DomainError("non-finite input point")
         if self.d2f is not None:
             d2 = float(self.d2f(x[0]))
         else:

@@ -162,8 +162,14 @@ class TestAdimensionalize:
     def test_g_jac_at_a_non_finite_point_fails_in_f_prime(self, f1):
         # only to_original checks its y; G' judges F' at x = x0 + T^-1 y
         form = adimensionalize(f1, 0.0)
-        with pytest.raises(DomainError, match="non-finite Jacobian"):
+        with pytest.raises(DomainError, match="non-finite input point"):
             form.g.jac([np.nan])
+
+    def test_g_jac_where_x_is_minus_inf_fails_in_f_prime(self, f1):
+        # y = inf maps to x = -inf, where f1' = exp(x - 1) reads 0.0
+        form = adimensionalize(f1, 0.0)
+        with pytest.raises(DomainError, match="non-finite input point"):
+            form.g.jac([np.inf])
 
     def test_back_transform_rejects_a_non_finite_point(self, example3):
         form = adimensionalize(example3, [0.0, 0.0])

@@ -1,14 +1,17 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from adimsolve import experiments
+from adimsolve import experiments, problems
 from adimsolve.cli import PAPER_RUNS, build_parser, config_to_args, main
-from adimsolve.experiments import (method_from_name, run_bounds_report,
-                                   run_custom, run_example1, run_zigzag,
+from adimsolve.experiments import (_dominates, method_from_name,
+                                   run_bounds_report, run_custom,
+                                   run_example1, run_zigzag,
                                    steepest_descent_zigzag)
-from adimsolve.methods import (ASIS, HFamily, Newton, Steffensen,
+from adimsolve.methods import (ASIS, DampedFirstOrder, DampedSteffensen,
+                               FixedSlope, HFamily, Newton, Steffensen,
                                StoppingCriteria)
 from adimsolve.problems import Problem, builtin_problem
 
@@ -89,6 +92,35 @@ class TestExitCodes:
         assert code == 2
         assert ("error: adimensional form violates G'(y0) = -I"
                 in capsys.readouterr().err)
+
+    def test_custom_reads_the_problem_table(self, monkeypatch, tmp_path,
+                                            capsys):
+        # a problem added to the library's table is a --problem choice
+        monkeypatch.setitem(problems.BUILTIN_PROBLEMS, "line", lambda: Problem(
+            f=lambda x: 2.0 * x - 1.0, jacobian=lambda x: 2.0, name="line"))
+        assert main(["custom", "--problem", "line", "--method", "newton",
+                     "--x0", "3.0", "--out", str(tmp_path),
+                     "--format", "json"]) == 0
+        trace = json.loads((tmp_path / "custom_line_newton.json").read_text())
+        assert trace["status"] == "converged-by-residual"
+        assert trace["iterates"][-1] == [0.5]
+
+    @pytest.mark.parametrize("method, cls, steps", [
+        ("damped-steffensen", DampedSteffensen, 20),
+        ("damped-first-order", DampedFirstOrder, 33),
+        ("fixed-slope", FixedSlope, 52)])
+    def test_custom_damped_and_fixed_slope_runs(self, method, cls, steps,
+                                                tmp_path, capsys):
+        # the step counts are lambda = 0.5's (at 1.0 the damped Steffensen
+        # run reaches max-iter and the fixed slope converges in 6)
+        assert type(method_from_name(method, lam=0.5)) is cls
+        assert main(["custom", "--problem", "f1", "--method", method,
+                     "--lambda", "0.5", "--x0", "0.0", "--out", str(tmp_path),
+                     "--format", "json"]) == 0
+        trace = json.loads(
+            (tmp_path / f"custom_f1_{method}.json").read_text())
+        assert trace["status"] == "converged-by-residual"
+        assert len(trace["iterates"]) - 1 == steps
 
     def test_custom_bisection_is_an_unknown_method(self, capsys):
         # a bisection needs a bracket, which the custom run has no flag for
@@ -217,6 +249,11 @@ class TestExperimentInternals:
         assert halley.h(0.0) == 1.0
         with pytest.raises(ValueError):
             method_from_name("gradient-descent")
+
+    def test_dominates(self):
+        slow = np.array([1.0, 0.5, 0.25, 1e-16])
+        assert _dominates(np.array([1.0, 0.4, 0.25, 1.0]), slow)
+        assert not _dominates(np.array([1.0, 0.6, 0.1, 0.0]), slow)
 
     def test_zigzag_ratio_closed_form(self):
         _, ratios = steepest_descent_zigzag(0.3)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adimsolve import divdiff
 from adimsolve.divdiff import (DividedDifference, componentwise_dd,
                                gauss_legendre_01, integral_dd, scalar_dd,
                                verify_interpolatory)
@@ -168,8 +169,9 @@ class TestComponentwise:
            known=st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_scalar_case_matches_scalar_dd(self, u, v, sx, sy, known):
-        # at m = 1 the telescope is the scalar quotient, bit for bit, with
-        # the same F and F' calls, at nodes across +-300 decades
+        # at m = 1 the general telescope is the scalar quotient, bit for
+        # bit, with the same F and F' calls in the same order, at nodes
+        # across +-300 decades
         x, y = sx * 10.0 ** u, sy * 10.0 ** v
         self._assert_scalar_dd(atan_problem(), x, y, known)
 
@@ -182,15 +184,18 @@ class TestComponentwise:
 
     @staticmethod
     def _assert_scalar_dd(p, x, y, known):
+        # the general telescope, and the operator DividedDifference gives
         fx, fy = (p.evaluate(x), p.evaluate(y)) if known else (None, None)
-        rec, calls = recording(p)
-        H = componentwise_dd(rec, [x], [y], fx, fy)
         ref, ref_calls = recording(p)
         h = scalar_dd(ref, x, y, *((fx[0], fy[0]) if known else (None, None)))
-        assert H.shape == (1, 1) and H[0, 0] == h
-        for kind in ("f", "jac"):
-            assert sorted(z.tobytes() for z in calls[kind]) == \
-                sorted(z.tobytes() for z in ref_calls[kind])
+        for op in (componentwise_dd, DividedDifference()):
+            rec, calls = recording(p)
+            H = op(rec, [x], [y], fx, fy)
+            assert H.shape == (1, 1)
+            assert H.tobytes() == np.float64(h).tobytes()
+            for kind in ("f", "jac"):
+                assert [z.tobytes() for z in calls[kind]] == \
+                    [z.tobytes() for z in ref_calls[kind]]
 
     @given(seed=st.integers(0, 10_000), m=st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
@@ -286,6 +291,16 @@ class TestDispatcher:
                 assert np.array_equal(H, dd(p, x, y))
                 inner = p.dimension - 1 if variant == "componentwise" else 0
                 assert len(calls["f"]) == inner
+
+    def test_componentwise_at_m_1_calls_the_module_scalar_dd(self, f1, monkeypatch):
+        # a wrapper put on divdiff.scalar_dd (as a tracer does) sees every
+        # m = 1 operator once, and componentwise_dd none
+        seen = []
+        monkeypatch.setattr(divdiff, "scalar_dd",
+                            lambda *args: seen.append(args) or 0.25)
+        monkeypatch.setattr(divdiff, "componentwise_dd", None)
+        H = DividedDifference()(f1, [0.3], [0.9])
+        assert H.tolist() == [[0.25]] and len(seen) == 1
 
     @pytest.mark.parametrize("variant", ["secant-table", "scalar"])
     def test_unknown_variant(self, variant):

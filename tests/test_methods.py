@@ -341,6 +341,16 @@ class TestEvaluationBudget:
         assert trace.n_evals == len(calls["f"]) == 1 + trace.n_steps
         assert trace.n_jac_evals == trace.n_steps
 
+    def test_integral_steffensen_calls_no_f_prime_at_a_non_finite_node(self):
+        # f1 scaled by k = 1e308 from -1e308: the node x + F(x) is -inf, so
+        # every quadrature node is -inf or NaN and F' is judged at none
+        p, calls = recording(apply_scaling(builtin_problem("f1"),
+                                           LinearScaling(c=1.0, k=1e308)))
+        trace = solve(p, Steffensen(DividedDifference("integral")), -1e308,
+                      StoppingCriteria())
+        assert trace.status == "domain-failure"
+        assert trace.n_jac_evals == len(calls["jac"]) == 0
+
     def test_known_value_gives_the_same_step(self, f1, example3):
         h = lambda L: 1.0 / (1.0 - L / 2.0)
         for p, x in ((f1, np.array([0.4])), (example3, np.array([0.3, -0.2]))):
@@ -382,6 +392,22 @@ class TestBisection:
         assert trace.iterates == [] and trace.n_steps == 0
         with pytest.raises(ValueError, match="no iterate.*domain-failure"):
             trace.x_final
+
+    @pytest.mark.parametrize("lo, hi", [(2.0, 3.0), (0.0, 2.0)])
+    def test_root_at_a_bracket_end(self, lo, hi):
+        # F = 0 at one end: the bracket shrinks to it, and the first
+        # midpoint is the root
+        trace = solve(quad_problem(), Bisection(lo=lo, hi=hi), None, STOP)
+        assert trace.status == "converged-by-residual"
+        assert [x[0] for x in trace.iterates] == [2.0, 2.0]
+        assert trace.residual_norms == [0.0, 0.0] and trace.n_evals == 4
+
+    def test_converged_by_step(self):
+        trace = solve(quad_problem(), Bisection(lo=0.0, hi=3.0), None,
+                      StoppingCriteria(step_tol=0.1, residual_tol=0.0))
+        assert trace.status == "converged-by-step"
+        assert trace.step_norms == [0.75, 0.375, 0.1875, 0.09375]
+        assert trace.x_final[0] == 1.96875
 
     def test_non_finite_value_at_a_bracket_end(self):
         with np.errstate(divide="ignore"):

@@ -22,7 +22,7 @@ from adimsolve.problems import (AlreadyAtRootError, DomainError,
 
 from conftest import (assert_euclidean_norm, h_equation_kernel,
                       h_equation_problem, linear_problem, quadratic_problem,
-                      random_quadratic_problem)
+                      random_quadratic_problem, recording)
 
 E = math.e
 # Kantorovich threshold for f1: a = 1/2 exactly when K2 = 1
@@ -235,6 +235,28 @@ class TestAsMatrix:
         assert f1s.jac(0.5)[0, 0] == 6.0
 
 
+def reference_fd_jacobian(p, x):
+    """Central differences one column at a time, each point x +- h_j e_j a
+    copy of x with coordinate j moved, evaluated by its own Problem.evaluate
+    call."""
+    x = as_point(x, p.dimension)
+    J = np.empty((p.dimension, p.dimension))
+    for j in range(p.dimension):
+        h = max(1e-7, 1e-7 * abs(x[j]))
+        xp = x.copy(); xp[j] += h
+        xm = x.copy(); xm[j] -= h
+        J[:, j] = (p.evaluate(xp) - p.evaluate(xm)) / (2.0 * h)
+    return J
+
+
+def signed_problem(m):
+    """A random quadratic plus copysign(0.5, x): F tells -0.0 from +0.0."""
+    q = random_quadratic_problem(np.random.default_rng(30 + m), m)
+    if m == 1:
+        return Problem(f=lambda t: q.f(t) + math.copysign(0.5, t))
+    return Problem(f=lambda x: q.f(x) + np.copysign(0.5, x), dimension=m)
+
+
 class TestJacobian:
     def test_example3_origin(self, example3):
         J = example3.jac([0.0, 0.0])
@@ -263,6 +285,44 @@ class TestJacobian:
         with pytest.raises(ValueError, match="Jacobian has wrong shape"):
             p.jac([0.0, 0.0])
 
+    @pytest.mark.parametrize("analytic", [True, False])
+    @pytest.mark.parametrize("name, x", [
+        ("f1", [-np.inf]), ("f1", [np.nan]), ("example3", [0.5, np.inf])])
+    def test_a_non_finite_point_is_a_domain_error(self, name, x, analytic):
+        # f1' = exp(x - 1) reads 0.0 at -inf: no F' is judged at such a point
+        p = builtin_problem(name)
+        p, calls = recording(p if analytic else dataclasses.replace(p, jacobian=None))
+        with pytest.raises(DomainError, match="^non-finite input point$"):
+            p.jac(x)
+        assert not calls["jac"] and not calls["f"]
+
+    @pytest.mark.parametrize("analytic", [True, False])
+    def test_a_stack_is_checked_before_any_f_prime_call(self, analytic):
+        p = builtin_problem("example3")
+        p, calls = recording(p if analytic else dataclasses.replace(p, jacobian=None))
+        X = np.array([[0.3, -0.2], [0.1, 0.4], [-np.inf, 0.0]])
+        with pytest.raises(DomainError, match="^non-finite input point$"):
+            p._jac_stack(X, np.empty((3, 2, 2)))
+        assert not calls["jac"] and not calls["f"]
+
+    @pytest.mark.parametrize("m", [1, 2, 10])
+    def test_fd_jacobian_is_the_per_column_loop_bit_for_bit(self, m):
+        # a -0.0 coordinate stays -0.0 in every point that does not move it,
+        # and F here tells it from +0.0
+        rng = np.random.default_rng(40 + m)
+        x = rng.uniform(-2.0, 2.0, m)
+        x[-1] = 3e5                 # a step relative to |x_j|
+        x[0] = -0.0
+        p = signed_problem(m)
+        rec, calls = recording(p)
+        ref, ref_calls = recording(p)
+        J = rec.fd_jacobian(x)
+        want = reference_fd_jacobian(ref, x)
+        assert J.flags.c_contiguous
+        assert J.tobytes() == want.tobytes()
+        assert [z.tobytes() for z in calls["f"]] == \
+            [z.tobytes() for z in ref_calls["f"]]
+
 
 class TestSecondDerivative:
     def test_finite_differences_of_f_prime_without_d2f(self, f1):
@@ -288,6 +348,14 @@ class TestSecondDerivative:
     def test_a_non_finite_value_is_a_domain_error(self, p):
         with pytest.raises(DomainError, match="non-finite second derivative"):
             p.second_derivative(0.0)
+
+    @pytest.mark.parametrize("d2f", [True, False])
+    @pytest.mark.parametrize("x", [-np.inf, np.inf, np.nan])
+    def test_a_non_finite_point_is_a_domain_error(self, f1, d2f, x):
+        # f1'' = exp(x - 1) reads 0.0 at -inf: d2f is judged at finite points
+        p = f1 if d2f else dataclasses.replace(f1, d2f=None)
+        with pytest.raises(DomainError, match="^non-finite input point$"):
+            p.second_derivative([x])
 
 
 class TestScaling:
