@@ -467,12 +467,15 @@ def asis_solve(problem: Problem, x0, stop: StoppingCriteria,
                ) -> AsisResult:
     """Steffensen on the adimensional form, iterates mapped back to x-space.
 
-    G(y) = F(x0 + T^-1 y)/sigma, and the point x and value F(x) behind each
-    G evaluation are kept under y: G(y0) = G(0) takes the form's F(x0), and
-    the back-transform reads each iterate's x and F(x) from there, so no
-    point is mapped or evaluated twice.  n_evals counts G's calls, not the
-    form's setup; solve(problem, ASIS(), ...) counts both.  Raises what
-    adimensionalize raises, with numpy's warnings off (QUIET).
+    G(y) = F(x0 + T^-1 y)/sigma.  The point x and value F(x) behind each G
+    evaluated one at a time, y0 and the iterates, are kept under y: G(y0) =
+    G(0) takes the form's F(x0), and the back-transform reads each
+    iterate's x and F(x) from there, so no point is mapped or evaluated
+    twice.  The stacks of a divided difference go through G's own stack
+    evaluation, which calls F directly.  n_evals counts G's calls, single
+    and stacked, not the form's setup; solve(problem, ASIS(), ...) counts
+    both.  Raises what adimensionalize raises, with numpy's warnings off
+    (QUIET).
     """
     with np.errstate(**QUIET):
         form = adimensionalize(problem, x0)
@@ -486,8 +489,11 @@ def asis_solve(problem: Problem, x0, stop: StoppingCriteria,
                 x_and_f[key] = x, problem.evaluate(x)
             return x_and_f[key][1] / form.sigma
 
-        g = dataclasses.replace(form.g, f=g_eval)
+        stacked = {"f": 0, "jac": 0}
+        g = dataclasses.replace(form.g, f=g_eval,
+                                base=_counting_copy(problem, stacked))
         y_trace = solve(g, Steffensen(dd=dd), form.y0, stop)
+        y_trace.n_evals += stacked["f"]
         x_trace = IterationTrace(status=y_trace.status,
                                  n_evals=y_trace.n_evals,
                                  n_jac_evals=y_trace.n_jac_evals,

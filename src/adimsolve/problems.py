@@ -124,9 +124,24 @@ class Problem:
         return fx
 
     def jac(self, x) -> np.ndarray:
-        """F'(x): the one-row _jac_stack, under its checks."""
-        J = np.empty((1, self.dimension, self.dimension))
-        self._jac_stack(as_point(x, self.dimension)[np.newaxis], J)
+        """F'(x): the one-row _jac_stack, under its checks.  At m = 1 a
+        scalar lane, as in evaluate, runs the same checks in Python and
+        returns the (1, 1) matrix as_matrix gives."""
+        m = self.dimension
+        x = as_point(x, m)
+        if m == 1:
+            t = x[0]
+            if not math.isfinite(t):
+                raise DomainError("non-finite input point")
+            J = (self.fd_jacobian(x) if self.jacobian is None
+                 else as_matrix(self.jacobian(t)))
+            if J.shape != (1, 1):
+                raise ValueError("Jacobian has wrong shape")
+            if not math.isfinite(J[0, 0]):
+                raise DomainError("domain failure: non-finite Jacobian")
+            return J
+        J = np.empty((1, m, m))
+        self._jac_stack(x[np.newaxis], J)
         return J[0]
 
     def _evaluate_stack(self, Z: np.ndarray, FZ: np.ndarray) -> None:

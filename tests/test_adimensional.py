@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adimsolve import adimensional, problems
-from adimsolve.adimensional import (AdimensionalPolynomial,
+from adimsolve.adimensional import (AdimensionalMap, AdimensionalPolynomial,
                                     adimensional_polynomial, adimensionalize,
                                     check_normalization)
+from adimsolve.divdiff import componentwise_dd
 from adimsolve.problems import (AlreadyAtRootError, DomainError,
                                 LinearScaling, Problem,
                                 SingularOperatorError, apply_scaling,
@@ -269,6 +271,121 @@ class TestAdimensionalize:
         with pytest.raises(ValueError,
                            match=r"violates G'\(y0\) = -I: residual 5\.0"):
             adimensionalize(p, np.zeros(3))
+
+    @pytest.mark.parametrize("eps, accepted", [(5e-9, True), (2e-8, False)])
+    def test_a_rank_one_jacobian_error_is_judged_at_the_tolerance(self, eps,
+                                                                  accepted):
+        # F(x) = x - b with Jacobian I + eps u v^T, u and v orthogonal unit
+        # vectors: R = G'(y0) + I = eps u v^T, whose Frobenius norm is its
+        # largest singular value, so the pre-test decides at the tolerance
+        # itself
+        u = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
+        v = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
+        b = np.array([1.0, 2.0, 3.0])
+        p = Problem(f=lambda x: x - b,
+                    jacobian=lambda x: np.eye(3) + eps * np.outer(u, v),
+                    dimension=3)
+        if accepted:
+            form = adimensionalize(p, np.zeros(3))
+            assert check_normalization(form)["derivative_residual"] == \
+                pytest.approx(eps, rel=1e-6)
+        else:
+            with pytest.raises(ValueError,
+                               match=r"violates G'\(y0\) = -I: residual 2\.000e-08"):
+                adimensionalize(p, np.zeros(3))
+
+    @pytest.mark.parametrize("norm, n_norms", [("euclidean", 0), ("max", 1)])
+    def test_an_accepted_form_takes_no_svd(self, monkeypatch, norm, n_norms):
+        # ||R||_2 <= ||R||_F: a Frobenius norm within the tolerance accepts
+        # the form; the max norm keeps its row sum
+        calls = []
+        real = Problem.operator_norm
+
+        def counting(self, A):
+            calls.append(A.shape)
+            return real(self, A)
+
+        monkeypatch.setattr(Problem, "operator_norm", counting)
+        p = dataclasses.replace(h_equation_problem(10, 0.78), norm=norm)
+        adimensionalize(p, np.ones(10))
+        assert len(calls) == n_norms
+
+    def test_a_rejection_quotes_the_exact_norm(self):
+        # F(x) = x - b with Jacobian I + E, E's singular values 5e-8 and
+        # 2.5e-8: R ~ E, whose Frobenius norm, 5.59e-8, fails the pre-test;
+        # the message quotes the largest singular value
+        Q = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))[0]
+        V = np.linalg.qr(np.random.default_rng(6).standard_normal((3, 3)))[0]
+        E = Q @ np.diag([5e-8, 2.5e-8, 0.0]) @ V.T
+        b = np.array([1.0, 2.0, 3.0])
+        p = Problem(f=lambda x: x - b, jacobian=lambda x: np.eye(3) + E,
+                    dimension=3)
+        with pytest.raises(ValueError,
+                           match=r"violates G'\(y0\) = -I: residual 5\.000e-08$"):
+            adimensionalize(p, np.zeros(3))
+
+
+def stack_telescope(m, dead):
+    """The telescope of points z_k = (y[:k], x[k:]) between two points near
+    y0 = 0 of an m-dimensional form, columns `dead` coincident."""
+    rng = np.random.default_rng(m)
+    x, y = rng.uniform(-0.1, 0.1, m), rng.uniform(-0.1, 0.1, m)
+    y[dead] = x[dead]
+    return np.where(np.tri(m + 1, m, -1, dtype=bool), y, x)
+
+
+class TestAdimensionalMap:
+    """G's stack: each row mapped to x by its own solve, F one stack."""
+
+    @pytest.mark.parametrize("m", [2, 10, 100])
+    @pytest.mark.parametrize("dead", [[], [0], [1, -1]])
+    def test_stack_is_evaluate_row_by_row(self, m, dead):
+        form = adimensionalize(h_equation_problem(m, 0.78), np.ones(m))
+        assert type(form.g) is AdimensionalMap
+        Y = stack_telescope(m, dead)
+        GY = np.empty_like(Y)
+        form.g._evaluate_stack(Y, GY)
+        assert np.array_equal(GY, np.array([form.g.evaluate(y) for y in Y]))
+
+    @pytest.mark.parametrize("x0, bad_y, message", [
+        (1e-10, lambda form: [np.nan, 0.0], "non-finite input point"),
+        # sigma ~ 1.4e-10, so F(x)/sigma overflows where F(x) is finite
+        (1e-10, lambda form: form.to_adimensional([700.0, 0.5]),
+         "domain failure: non-finite value of F"),
+        # T^-1 ~ -1.4 I: a finite y maps to x = -inf
+        (5.0, lambda form: [sys.float_info.max, 0.0], "non-finite input point"),
+    ])
+    def test_a_failing_row_raises_the_per_row_message(self, x0, bad_y,
+                                                      message):
+        p = Problem(f=np.expm1, jacobian=lambda x: np.diag(np.exp(x)),
+                    dimension=2)
+        form = adimensionalize(p, np.full(2, x0))
+        Y = np.array([form.y0 + 0.01, bad_y(form)])
+        with np.errstate(over="ignore"):
+            with pytest.raises(DomainError) as per_row:
+                for y in Y:
+                    form.g.evaluate(y)
+            with pytest.raises(DomainError) as stacked:
+                form.g._evaluate_stack(Y, np.empty_like(Y))
+        assert str(per_row.value) == str(stacked.value) == message
+
+    def test_one_operator_is_one_f_stack(self, monkeypatch):
+        m = 10
+        p, calls = recording(h_equation_problem(m, 0.78))
+        form = adimensionalize(p, np.ones(m))
+        stacks = []
+        real = Problem._evaluate_stack
+
+        def counting(self, Z, FZ):
+            stacks.append((self, len(Z)))
+            return real(self, Z, FZ)
+
+        monkeypatch.setattr(Problem, "_evaluate_stack", counting)
+        n_f = len(calls["f"])
+        Z = stack_telescope(m, [])
+        componentwise_dd(form.g, Z[0], Z[-1])
+        assert [(s is form.g.base, n) for s, n in stacks] == [(True, m + 1)]
+        assert len(calls["f"]) - n_f == m + 1
 
 
 class TestAdimensionalPolynomial:

@@ -20,8 +20,9 @@ from adimsolve.problems import (DomainError, LinearScaling, Problem,
                                 SingularOperatorError, apply_scaling,
                                 builtin_problem, solve_linear)
 
-from conftest import (assert_euclidean_norm, linear_problem, moved,
-                      random_quadratic_problem, recording)
+from conftest import (assert_euclidean_norm, h_equation_problem,
+                      linear_problem, moved, random_quadratic_problem,
+                      recording)
 
 E = math.e
 STOP = StoppingCriteria(step_tol=0.0, residual_tol=1e-14, max_iter=100)
@@ -655,6 +656,88 @@ class TestAsis:
         p = apply_scaling(example3, LinearScaling(1e150, 1e158))
         with pytest.raises(DomainError, match="non-finite Jacobian"):
             asis_solve(p, [0.0, 0.0], StoppingCriteria())
+
+    @pytest.mark.parametrize("dd", ["componentwise", "integral"])
+    @pytest.mark.parametrize("p, x0", [
+        (builtin_problem("f1"), [0.0]),
+        (builtin_problem("example3"), [0.3, -0.7]),
+        (apply_scaling(h_equation_problem(10, 0.78), LinearScaling(1.3, 0.7)),
+         np.ones(10) / 1.3),
+        (apply_scaling(h_equation_problem(100, 0.99), LinearScaling(1.3, 0.7)),
+         np.ones(100) / 1.3),
+    ])
+    def test_traces_are_those_of_mapping_each_point_alone(self, dd, p, x0):
+        # the reference runs Steffensen on a plain Problem over the form's
+        # one-point G, so every row of a stack is mapped to x by its own
+        # solve and evaluated by its own call
+        method = Steffensen(DividedDifference(dd))
+        res = asis_solve(p, x0, STOP, method.dd)
+        g = res.form.g
+        ref = solve(Problem(f=g.f, jacobian=g.jacobian, dimension=g.dimension,
+                            norm=g.norm), method, res.form.y0, STOP)
+        xs = [res.form.to_original(y) for y in ref.iterates]
+        assert res.y_trace.status == ref.status
+        assert len(res.y_trace.iterates) == len(ref.iterates) > 2
+        for a, b in ((res.y_trace.iterates, ref.iterates),
+                     (res.x_trace.iterates, xs)):
+            assert all(np.array_equal(u, v) for u, v in zip(a, b))
+        assert res.y_trace.residual_norms == ref.residual_norms
+        assert res.y_trace.step_norms == ref.step_norms
+        assert res.x_trace.residual_norms == [p.vector_norm(p.evaluate(x))
+                                              for x in xs]
+        assert (res.x_trace.n_evals, res.y_trace.n_evals) == (ref.n_evals,) * 2
+        assert res.y_trace.n_jac_evals == ref.n_jac_evals
+
+    def test_a_failure_inside_gs_stack_counts_every_row(self):
+        # F fails at the first telescope point (its 6th call, after the
+        # setup's 2m + 1 = 5): the stack evaluates its second row before
+        # its finiteness test, and both entry points count both
+        n_calls = [0]
+
+        def f(x):
+            n_calls[0] += 1
+            if n_calls[0] == 6:
+                return np.array([np.nan, 0.0])
+            return np.array([x[0] - 1.0 + x[0] ** 3,
+                             x[1] - 2.0 + 0.1 * x[0] * x[1]])
+
+        p = Problem(f=f, jacobian=lambda x: np.array(
+            [[1.0 + 3.0 * x[0] ** 2, 0.0], [0.1 * x[1], 1.0 + 0.1 * x[0]]]),
+            dimension=2)
+        res = asis_solve(p, [0.0, 0.0], STOP)
+        assert res.x_trace.status == "domain-failure"
+        assert n_calls[0] == 7
+        assert res.x_trace.n_evals == res.y_trace.n_evals == 7 - 2 * 2
+        n_calls[0] = 0
+        trace = solve(p, ASIS(), [0.0, 0.0], STOP)
+        assert trace.status == "domain-failure"
+        assert trace.n_evals == n_calls[0] == 7
+
+    def test_a_step_costs_m_plus_one_f_calls_and_solves(self, monkeypatch):
+        # H-equation at m = 100: the setup's 2m + 1 F calls, then per step
+        # the m telescope points of one stack and the new iterate, each
+        # mapped to x by one solve
+        m = 100
+        n_solves = [0]
+        real = adimensional.lu_solve
+
+        def counting(*args, **kwargs):
+            n_solves[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(adimensional, "lu_solve", counting)
+        # stopped before G(y) underflows the node shift, where columns of
+        # the telescope go dead and take the Jacobian's
+        stop = StoppingCriteria(step_tol=0.0, residual_tol=1e-10)
+        p, calls = recording(h_equation_problem(m, 0.78))
+        res = asis_solve(p, np.ones(m), stop)
+        n = res.x_trace.n_steps
+        assert res.x_trace.status == "converged-by-residual" and n == 3
+        assert len(calls["f"]) == 2 * m + 1 + n * (m + 1)
+        assert res.x_trace.n_evals == res.y_trace.n_evals == 1 + n * (m + 1)
+        assert n_solves[0] == 2 + n * (m + 1)
+        trace = solve(p, ASIS(), np.ones(m), stop)
+        assert trace.n_evals == 2 * m + 1 + n * (m + 1)
 
 
 class TestAsisThroughSolve:
