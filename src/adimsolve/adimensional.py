@@ -27,43 +27,19 @@ CHECK_FD_STEP = 1e-5
 FORM_REJECTED = "adimensional form violates"
 
 
-@dataclass(frozen=True, kw_only=True)
-class AdimensionalMap(Problem):
-    """G(y) = F(x0 + T^-1 y)/sigma, F the problem `base` and T given by its
-    LU factors `lu`.
-
-    f and jacobian take one point.  A stack of points, a divided
-    difference's telescope, is tested finite once, mapped to x row by row
-    (one one-column solve each, the bits of f's), evaluated as one checked
-    stack of F, and divided by sigma: evaluate's checks and messages, once
-    per stack.
-    """
-
-    base: Problem = field(repr=False)
-    x0: np.ndarray = field(repr=False)
-    lu: tuple = field(repr=False)
-    sigma: float
-
-    def _evaluate_stack(self, Y: np.ndarray, GY: np.ndarray) -> None:
-        if not all_finite(Y):
-            raise DomainError("non-finite input point")
-        X = np.empty(Y.shape)
-        for i, y in enumerate(Y):
-            X[i] = lu_solve(self.lu, y)
-        X += self.x0
-        self.base._evaluate_stack(X, GY)
-        GY /= self.sigma
-        if not all_finite(GY):
-            raise DomainError("domain failure: non-finite value of F")
-
-
 @dataclass(frozen=True)
 class AdimensionalForm:
-    """The transform y = T (x - x0) (T = -F'(x0)/sigma) and the wrapped map G.
+    """The transform y = T (x - x0) (T = -F'(x0)/sigma) and the map
+    G(y) = F(x0 + T^-1 y)/sigma it defines.
 
-    T is kept as an LU factorization; back-transforms solve T d = y and
-    return x0 + d rather than forming T^{-1}.  y0 = 0 is x0's image, and
-    f_c = F(x0) the value behind G(y0).
+    T is kept as an LU factorization: each point y is mapped to x by its
+    own one-column solve of T d = y, x = x0 + d, rather than by forming
+    T^{-1}.  y0 = 0 is x0's image, and f_c = F(x0) the value behind G(y0).
+
+    The form is G's map f: called on one point it returns G(y), and
+    evaluate_stack maps a stack of points, a divided difference's
+    telescope, to x row by row and evaluates them as one checked stack of
+    F.
     """
 
     problem: Problem
@@ -71,9 +47,19 @@ class AdimensionalForm:
     sigma: float
     T: np.ndarray
     y0: np.ndarray
-    g: AdimensionalMap = field(repr=False)
     _lu: tuple = field(repr=False)
     f_c: np.ndarray = field(repr=False)
+
+    @property
+    def g(self) -> Problem:
+        """G as a Problem whose map is this form.  It is built on each
+        access: kept on the form, it would make the form a reference cycle,
+        freed only by the garbage collector."""
+        p = self.problem
+        return Problem(f=self, jacobian=self.g_jacobian
+                       if p.has_analytic_jacobian() else None,
+                       dimension=p.dimension, norm=p.norm,
+                       name=f"adim({p.name})")
 
     def to_adimensional(self, x) -> np.ndarray:
         x = as_point(x, self.problem.dimension)
@@ -83,7 +69,33 @@ class AdimensionalForm:
         y = as_point(y, self.problem.dimension)
         if not all_finite(y):   # the one right-hand side from outside
             raise ValueError("array must not contain infs or NaNs")
+        return self._to_x(y)
+
+    def _to_x(self, y: np.ndarray) -> np.ndarray:
+        """x = x0 + T^-1 y for a vector y: every point the form maps, one
+        at a time or in a stack, takes this one-column solve (a
+        multi-column solve gives other last bits)."""
         return self.x0 + lu_solve(self._lu, y)
+
+    def __call__(self, y) -> np.ndarray:
+        """G(y) at one point, x checked by F's evaluate."""
+        return self.problem.evaluate(self._to_x(as_vector(y))) / self.sigma
+
+    def g_jacobian(self, y) -> np.ndarray:
+        """G'(y) = F'(x) T^-1 / sigma, transposed: T^-T F'(x)^T from T's
+        LU factors."""
+        Jf = self.problem.jac(self._to_x(as_vector(y)))
+        return lu_solve(self._lu, Jf.T, trans=1).T / self.sigma
+
+    def evaluate_stack(self, Y: np.ndarray, GY: np.ndarray) -> None:
+        """G at each row of Y into GY, for Problem._evaluate_stack, which
+        tests Y and GY finite around it: the rows mapped to x one by one,
+        F at all of them one checked stack, then divided by sigma."""
+        X = np.empty(Y.shape)
+        for i, y in enumerate(Y):
+            X[i] = self._to_x(y)
+        self.problem._evaluate_stack(X, GY)
+        GY /= self.sigma
 
 
 def adimensionalize(problem: Problem, x0) -> AdimensionalForm:
@@ -109,26 +121,8 @@ def adimensionalize(problem: Problem, x0) -> AdimensionalForm:
     if not all_finite(T):
         raise DomainError("domain failure: non-finite T = -F'(x0)/||F(x0)||")
     lu = factor_nonsingular(T)
-
-    def g_eval(y):
-        x = x0 + lu_solve(lu, as_vector(y))
-        return problem.evaluate(x) / sigma
-
-    g_jac = None
-    if problem.has_analytic_jacobian():
-        def g_jac(y):
-            x = x0 + lu_solve(lu, as_vector(y))
-            # G'(y) = F'(x) T^{-1} / sigma, transposed: T^{-T} F'(x)^T
-            # from T's LU
-            Jf = problem.jac(x)
-            return lu_solve(lu, Jf.T, trans=1).T / sigma
-
-    g = AdimensionalMap(f=g_eval, jacobian=g_jac, dimension=m,
-                        norm=problem.norm, name=f"adim({problem.name})",
-                        base=problem, x0=x0, lu=lu, sigma=sigma)
-
     form = AdimensionalForm(problem=problem, x0=x0, sigma=sigma, T=T,
-                            y0=np.zeros(m), g=g, _lu=lu, f_c=fx0)
+                            y0=np.zeros(m), _lu=lu, f_c=fx0)
     value_res, R = _normalization_residuals(form)
     if value_res > NORMALIZATION_TOL:
         raise ValueError(f"{FORM_REJECTED} ||G(y0)|| = 1: "

@@ -302,12 +302,22 @@ def h_family_step(problem: Problem, x, h: Callable, fx=None) -> np.ndarray:
 # -- solve driver ------------------------------------------------------------
 
 def _counting_copy(problem: Problem, counts: dict) -> Problem:
+    """problem with every call of F and F' counted; a stack that F
+    evaluates itself (its evaluate_stack) counts one call per row."""
     base_f = problem.f
     base_jac = problem.jacobian
 
     def f(x):
         counts["f"] += 1
         return base_f(x)
+
+    base_stack = getattr(base_f, "evaluate_stack", None)
+    if base_stack is not None:
+        def evaluate_stack(Z, FZ):
+            counts["f"] += len(Z)
+            base_stack(Z, FZ)
+
+        f.evaluate_stack = evaluate_stack
 
     jac = None
     if base_jac is not None:
@@ -471,11 +481,11 @@ def asis_solve(problem: Problem, x0, stop: StoppingCriteria,
     evaluated one at a time, y0 and the iterates, are kept under y: G(y0) =
     G(0) takes the form's F(x0), and the back-transform reads each
     iterate's x and F(x) from there, so no point is mapped or evaluated
-    twice.  The stacks of a divided difference go through G's own stack
-    evaluation, which calls F directly.  n_evals counts G's calls, single
-    and stacked, not the form's setup; solve(problem, ASIS(), ...) counts
-    both.  Raises what adimensionalize raises, with numpy's warnings off
-    (QUIET).
+    twice.  The stacks of a divided difference go to the form's
+    evaluate_stack, one stack of F each.  n_evals counts G's points, one
+    at a time and stacked, not the form's setup; solve(problem, ASIS(),
+    ...) counts both.  Raises what adimensionalize raises, with numpy's
+    warnings off (QUIET).
     """
     with np.errstate(**QUIET):
         form = adimensionalize(problem, x0)
@@ -489,11 +499,11 @@ def asis_solve(problem: Problem, x0, stop: StoppingCriteria,
                 x_and_f[key] = x, problem.evaluate(x)
             return x_and_f[key][1] / form.sigma
 
-        stacked = {"f": 0, "jac": 0}
-        g = dataclasses.replace(form.g, f=g_eval,
-                                base=_counting_copy(problem, stacked))
+        # a stack of G's points is the form's: mapped and evaluated
+        # together, none of them kept
+        g_eval.evaluate_stack = form.evaluate_stack
+        g = dataclasses.replace(form.g, f=g_eval)
         y_trace = solve(g, Steffensen(dd=dd), form.y0, stop)
-        y_trace.n_evals += stacked["f"]
         x_trace = IterationTrace(status=y_trace.status,
                                  n_evals=y_trace.n_evals,
                                  n_jac_evals=y_trace.n_jac_evals,

@@ -124,40 +124,32 @@ class Problem:
         return fx
 
     def jac(self, x) -> np.ndarray:
-        """F'(x): the one-row _jac_stack, under its checks.  At m = 1 a
-        scalar lane, as in evaluate, runs the same checks in Python and
-        returns the (1, 1) matrix as_matrix gives."""
-        m = self.dimension
-        x = as_point(x, m)
-        if m == 1:
-            t = x[0]
-            if not math.isfinite(t):
-                raise DomainError("non-finite input point")
-            J = (self.fd_jacobian(x) if self.jacobian is None
-                 else as_matrix(self.jacobian(t)))
-            if J.shape != (1, 1):
-                raise ValueError("Jacobian has wrong shape")
-            if not math.isfinite(J[0, 0]):
-                raise DomainError("domain failure: non-finite Jacobian")
-            return J
-        J = np.empty((1, m, m))
-        self._jac_stack(x[np.newaxis], J)
+        """F'(x): the one-row _jac_stack, under its checks."""
+        J = np.empty((1, self.dimension, self.dimension))
+        self._jac_stack(as_point(x, self.dimension)[np.newaxis], J)
         return J[0]
 
     def _evaluate_stack(self, Z: np.ndarray, FZ: np.ndarray) -> None:
         """F at each row of Z into FZ, of shape (len(Z), m), under evaluate's
         checks: the finiteness of all of Z tested once, the user's map
         called directly, its output shape checked per call, and the
-        finiteness of all of FZ tested once."""
+        finiteness of all of FZ tested once.  A map f with an
+        evaluate_stack(Z, FZ) method, an adimensional form, fills FZ itself
+        between the two tests; a wrapper of f that does not pass the
+        method on is called row by row."""
         m = self.dimension
         if not all_finite(Z):
             raise DomainError("non-finite input point")
         f = self.f
-        for i, z in enumerate(Z):
-            fz = as_vector(f(z if m > 1 else z[0]))
-            if fz.shape != (m,):
-                raise ValueError("evaluator output has wrong dimension")
-            FZ[i] = fz
+        stack = getattr(f, "evaluate_stack", None)
+        if stack is not None:
+            stack(Z, FZ)
+        else:
+            for i, z in enumerate(Z):
+                fz = as_vector(f(z if m > 1 else z[0]))
+                if fz.shape != (m,):
+                    raise ValueError("evaluator output has wrong dimension")
+                FZ[i] = fz
         if not all_finite(FZ):
             raise DomainError("domain failure: non-finite value of F")
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adimsolve import adimensional, problems
-from adimsolve.adimensional import (AdimensionalMap, AdimensionalPolynomial,
+from adimsolve.adimensional import (AdimensionalPolynomial,
                                     adimensional_polynomial, adimensionalize,
                                     check_normalization)
 from adimsolve.divdiff import componentwise_dd
@@ -334,14 +334,21 @@ def stack_telescope(m, dead):
     return np.where(np.tri(m + 1, m, -1, dtype=bool), y, x)
 
 
-class TestAdimensionalMap:
+def one_point_at_a_time(g):
+    """G as a Problem whose f is a plain function of one point, so every
+    row of a stack goes through f alone."""
+    return Problem(f=lambda y: g.f(y), jacobian=g.jacobian,
+                   dimension=g.dimension, norm=g.norm)
+
+
+class TestGStack:
     """G's stack: each row mapped to x by its own solve, F one stack."""
 
     @pytest.mark.parametrize("m", [2, 10, 100])
     @pytest.mark.parametrize("dead", [[], [0], [1, -1]])
     def test_stack_is_evaluate_row_by_row(self, m, dead):
         form = adimensionalize(h_equation_problem(m, 0.78), np.ones(m))
-        assert type(form.g) is AdimensionalMap
+        assert form.g.f is form
         Y = stack_telescope(m, dead)
         GY = np.empty_like(Y)
         form.g._evaluate_stack(Y, GY)
@@ -383,9 +390,36 @@ class TestAdimensionalMap:
         monkeypatch.setattr(Problem, "_evaluate_stack", counting)
         n_f = len(calls["f"])
         Z = stack_telescope(m, [])
-        componentwise_dd(form.g, Z[0], Z[-1])
-        assert [(s is form.g.base, n) for s, n in stacks] == [(True, m + 1)]
+        g = form.g
+        componentwise_dd(g, Z[0], Z[-1])
+        assert [(s is g, s is p, n) for s, n in stacks] == [
+            (True, False, m + 1), (False, True, m + 1)]
         assert len(calls["f"]) - n_f == m + 1
+
+    @pytest.mark.parametrize("m", [2, 10])
+    def test_a_scaled_g_is_scaled_in_its_stacks_too(self, m):
+        # apply_scaling replaces G's f by y -> k G(c y), which has no stack
+        # of its own: every row goes through it, as through a plain G's
+        form = adimensionalize(h_equation_problem(m, 0.78), np.ones(m))
+        s = LinearScaling(c=1.5, k=-3.0)
+        scaled = apply_scaling(form.g, s)
+        Z = stack_telescope(m, [])
+        A = componentwise_dd(scaled, Z[0], Z[-1])
+        assert np.array_equal(
+            A, componentwise_dd(apply_scaling(one_point_at_a_time(form.g), s),
+                                Z[0], Z[-1]))
+        assert not np.array_equal(A, componentwise_dd(form.g, Z[0], Z[-1]))
+
+    def test_a_copy_with_another_sigma_has_its_own_g(self):
+        form = adimensionalize(h_equation_problem(10, 0.78), np.ones(10))
+        off = dataclasses.replace(form, sigma=2.0 * form.sigma)
+        Y = stack_telescope(10, [])
+        GY, GY_off = np.empty_like(Y), np.empty_like(Y)
+        form.g._evaluate_stack(Y, GY)
+        off.g._evaluate_stack(Y, GY_off)
+        assert off.g.f is off
+        assert np.array_equal(GY_off, GY / 2.0)
+        assert np.array_equal(GY_off[0], off.g.evaluate(Y[0]))
 
 
 class TestAdimensionalPolynomial:

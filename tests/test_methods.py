@@ -1,5 +1,7 @@
+import gc
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adimsolve import adimensional
+from adimsolve.adimensional import adimensionalize
 from adimsolve.divdiff import DividedDifference
 from adimsolve.experiments import _log10_error_table, halley_h
 from adimsolve.methods import (ASIS, Bisection, DampedFirstOrder,
@@ -668,13 +671,15 @@ class TestAsis:
     ])
     def test_traces_are_those_of_mapping_each_point_alone(self, dd, p, x0):
         # the reference runs Steffensen on a plain Problem over the form's
-        # one-point G, so every row of a stack is mapped to x by its own
-        # solve and evaluated by its own call
+        # one-point G, a function without a stack of its own, so every row
+        # of a stack is mapped to x by its own solve and evaluated by its
+        # own call
         method = Steffensen(DividedDifference(dd))
         res = asis_solve(p, x0, STOP, method.dd)
         g = res.form.g
-        ref = solve(Problem(f=g.f, jacobian=g.jacobian, dimension=g.dimension,
-                            norm=g.norm), method, res.form.y0, STOP)
+        ref = solve(Problem(f=lambda y: g.f(y), jacobian=g.jacobian,
+                            dimension=g.dimension, norm=g.norm),
+                    method, res.form.y0, STOP)
         xs = [res.form.to_original(y) for y in ref.iterates]
         assert res.y_trace.status == ref.status
         assert len(res.y_trace.iterates) == len(ref.iterates) > 2
@@ -712,6 +717,38 @@ class TestAsis:
         trace = solve(p, ASIS(), [0.0, 0.0], STOP)
         assert trace.status == "domain-failure"
         assert trace.n_evals == n_calls[0] == 7
+
+    def test_the_form_is_freed_without_the_garbage_collector(self):
+        # G refers to its form and the form not to G: no reference cycle
+        # keeps T and its factors alive after a solve
+        gc.disable()
+        try:
+            res = asis_solve(h_equation_problem(10, 0.78), np.ones(10), STOP)
+            form = weakref.ref(res.form)
+            del res
+            assert form() is None
+        finally:
+            gc.enable()
+
+    def test_solve_on_the_forms_g_counts_its_stacks(self):
+        # solve's count of G's calls takes each row of a componentwise
+        # telescope's stack as one call, as G's per-point evaluation would
+        # have taken it
+        m = 10
+        p, calls = recording(apply_scaling(h_equation_problem(m, 0.78),
+                                           LinearScaling(1.3, 0.7)))
+        form = adimensionalize(p, np.ones(m) / 1.3)
+        g = form.g
+        method = Steffensen(DividedDifference("componentwise"))
+        n_form = len(calls["f"])
+        trace = solve(g, method, form.y0, STOP)
+        assert trace.status == "converged-by-residual"
+        assert trace.n_evals == len(calls["f"]) - n_form
+        ref = solve(Problem(f=lambda y: g.f(y), jacobian=g.jacobian,
+                            dimension=m), method, form.y0, STOP)
+        assert trace.n_evals == ref.n_evals > trace.n_steps * m
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(trace.iterates, ref.iterates))
 
     def test_a_step_costs_m_plus_one_f_calls_and_solves(self, monkeypatch):
         # H-equation at m = 100: the setup's 2m + 1 F calls, then per step

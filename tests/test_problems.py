@@ -257,38 +257,7 @@ def signed_problem(m):
     return Problem(f=lambda x: q.f(x) + np.copysign(0.5, x), dimension=m)
 
 
-def reference_jac(p, x):
-    """Problem.jac as the one-row _jac_stack at every dimension."""
-    J = np.empty((1, p.dimension, p.dimension))
-    p._jac_stack(as_point(x, p.dimension)[np.newaxis], J)
-    return J[0]
-
-
 class TestJacobian:
-    @pytest.mark.parametrize("x", [0.5, -0.0, DBL_MAX, np.inf, -np.inf,
-                                   np.nan])
-    @pytest.mark.parametrize("value", [
-        lambda t: 2.0 * t,                  # np.float64
-        lambda t: 3.0, lambda t: 3, lambda t: np.float32(2.5),
-        lambda t: np.array(3.0), lambda t: [3.0], lambda t: np.array([t]),
-        lambda t: [[-0.0]], lambda t: t * np.inf, lambda t: np.nan,
-        lambda t: [[np.inf]], lambda t: np.array([1.0, 2.0]), lambda t: [],
-        lambda t: np.eye(2), None,          # None: central differences
-    ])
-    def test_scalar_lane_is_the_array_path(self, x, value):
-        seen = []
-
-        def jacobian(t):
-            seen.append(type(t))
-            return value(t)
-
-        p = Problem(f=lambda t: t * t,
-                    jacobian=None if value is None else jacobian)
-        with np.errstate(invalid="ignore", over="ignore"):  # in the values
-            assert outcome(lambda: p.jac(x)) == \
-                outcome(lambda: reference_jac(p, x))
-        assert seen in ([], [np.float64, np.float64])
-
     def test_example3_origin(self, example3):
         J = example3.jac([0.0, 0.0])
         assert np.allclose(J, np.diag([-6.0, 2.0]))
