@@ -181,7 +181,7 @@ class AdimensionalPolynomial:
     b: float = 0.0
 
     def __post_init__(self):
-        if self.a < 0.0 or self.b < 0.0:
+        if not (self.a >= 0.0 and self.b >= 0.0):
             raise ValueError("a and b must be nonnegative")
 
     def __call__(self, s: float) -> float:
@@ -203,11 +203,11 @@ def adimensional_polynomial(k2: float, B: float, eta: float,
                             k3: Optional[float] = None) -> AdimensionalPolynomial:
     """Adimensional form of the majorizing polynomial: a = K2*B*eta and,
     for the cubic, b = K3*B*eta^2."""
-    if B <= 0.0 or eta <= 0.0:
+    if not (B > 0.0 and eta > 0.0):
         raise ValueError("B and eta must be positive")
-    if k2 < 0.0:
+    if not k2 >= 0.0:
         raise ValueError("k2 must be nonnegative")
-    if k3 is not None and k3 < 0.0:
+    if k3 is not None and not k3 >= 0.0:
         raise ValueError("k3 must be nonnegative")
     return AdimensionalPolynomial(
         a=k2 * B * eta, b=0.0 if k3 is None else k3 * B * eta * eta)

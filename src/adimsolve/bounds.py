@@ -44,7 +44,7 @@ def newton_sequences(a: float, N: int) -> BoundSequences:
     """Arrays a_0..a_N, d_0..d_N and r_0..r_{N+1}; truncated with status
     "not positive" when a denominator crosses zero (which happens iff
     a > 1/2)."""
-    if a < 0.0:
+    if not a >= 0.0:
         raise ValueError("a must be nonnegative")
     a_seq = [1.0]
     d_seq = [1.0]
@@ -75,7 +75,7 @@ def newton_rate(a: float, d_n: float) -> float:
 
 
 def steffensen_sequences(a: float, N: int) -> BoundSequences:
-    if a < 0.0:
+    if not a >= 0.0:
         raise ValueError("a must be nonnegative")
     a_seq = [1.0]
     c_seq = [1.0]
@@ -152,7 +152,7 @@ class MajorizingRoots:
 
 def majorizing_roots(a: float) -> MajorizingRoots:
     """Roots of (a/2)s^2 - s + 1 in closed form; requires a <= 1/2."""
-    if a < 0.0:
+    if not a >= 0.0:
         raise ValueError("a must be nonnegative")
     if a == 0.0:
         return MajorizingRoots(1.0, float("inf"))
@@ -177,7 +177,7 @@ def cubic_positive_roots(a: float, b: float,
     negative -> two simple positive roots, zero -> one double, positive ->
     none.  Roots are located by safeguarded bisection.
     """
-    if a < 0.0 or b < 0.0:
+    if not (a >= 0.0 and b >= 0.0):
         raise ValueError("a and b must be nonnegative")
     if a == 0.0 and b == 0.0:
         # linear: single simple root at 1

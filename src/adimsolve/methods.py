@@ -36,7 +36,7 @@ class StoppingCriteria:
     max_iter: int = 100
 
     def __post_init__(self):
-        if self.step_tol < 0.0 or self.residual_tol < 0.0:
+        if not (self.step_tol >= 0.0 and self.residual_tol >= 0.0):
             raise ValueError("tolerances must be nonnegative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")

@@ -23,7 +23,7 @@ class OrderEstimate:
     stable: bool
 
     def __post_init__(self):
-        if self.p <= 0.0:
+        if not self.p > 0.0:
             raise ValueError("estimated order must be positive")
 
 
@@ -71,7 +71,7 @@ def r_order(errors: Sequence[float]) -> OrderEstimate:
 
 def aq_order(step_norms: Sequence[float], eta: float) -> OrderEstimate:
     """Q-order of the adimensional sequence d_n = ||step_n|| / eta."""
-    if eta <= 0.0:
+    if not eta > 0.0:
         raise ValueError("eta must be positive")
     d = np.asarray(list(step_norms), dtype=float) / eta
     est = q_order(d)

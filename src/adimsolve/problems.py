@@ -73,6 +73,22 @@ def as_point(x, m: int) -> np.ndarray:
     return x
 
 
+def _fill_stack(f: Callable, Z: np.ndarray, FZ: np.ndarray, m: int) -> None:
+    """f at each row of Z into FZ, the one row loop of every stack.  A map
+    with an evaluate_stack(Z, FZ) method (an adimensional form, a scaled
+    map, solve's counter) fills FZ itself; any other f is called on each
+    row, a scalar when m = 1, its output shape checked per call."""
+    stack = getattr(f, "evaluate_stack", None)
+    if stack is not None:
+        stack(Z, FZ)
+        return
+    for i, z in enumerate(Z):
+        fz = as_vector(f(z if m > 1 else z[0]))
+        if fz.shape != (m,):
+            raise ValueError("evaluator output has wrong dimension")
+        FZ[i] = fz
+
+
 @dataclass(frozen=True)
 class Problem:
     """A nonlinear map F: R^m -> R^m with optional derivative information.
@@ -96,7 +112,7 @@ class Problem:
             raise ValueError("dimension must be a positive integer")
         if self.norm not in ("euclidean", "max"):
             raise ValueError(f"unknown norm {self.norm!r}")
-        if self.k2 is not None and self.k2 < 0:
+        if self.k2 is not None and not self.k2 >= 0.0:
             raise ValueError("k2 must be nonnegative")
 
     # -- evaluation ---------------------------------------------------------
@@ -131,25 +147,11 @@ class Problem:
 
     def _evaluate_stack(self, Z: np.ndarray, FZ: np.ndarray) -> None:
         """F at each row of Z into FZ, of shape (len(Z), m), under evaluate's
-        checks: the finiteness of all of Z tested once, the user's map
-        called directly, its output shape checked per call, and the
-        finiteness of all of FZ tested once.  A map f with an
-        evaluate_stack(Z, FZ) method, an adimensional form, fills FZ itself
-        between the two tests; a wrapper of f that does not pass the
-        method on is called row by row."""
-        m = self.dimension
+        checks: the finiteness of all of Z tested once, the stack handed to
+        f by _fill_stack, and the finiteness of all of FZ tested once."""
         if not all_finite(Z):
             raise DomainError("non-finite input point")
-        f = self.f
-        stack = getattr(f, "evaluate_stack", None)
-        if stack is not None:
-            stack(Z, FZ)
-        else:
-            for i, z in enumerate(Z):
-                fz = as_vector(f(z if m > 1 else z[0]))
-                if fz.shape != (m,):
-                    raise ValueError("evaluator output has wrong dimension")
-                FZ[i] = fz
+        _fill_stack(self.f, Z, FZ, self.dimension)
         if not all_finite(FZ):
             raise DomainError("domain failure: non-finite value of F")
 
@@ -321,21 +323,32 @@ class LinearScaling:
     k: float
 
     def __post_init__(self):
-        if self.c == 0.0 or self.k == 0.0:
-            raise ValueError("scaling factors must be nonzero")
+        if not (0.0 < abs(self.c) <= DBL_MAX and 0.0 < abs(self.k) <= DBL_MAX):
+            raise ValueError("scaling factors must be finite and nonzero")
 
     def inverse(self) -> "LinearScaling":
         return LinearScaling(1.0 / self.c, 1.0 / self.k)
 
 
 def apply_scaling(problem: Problem, s: LinearScaling) -> Problem:
-    """Problem x -> k*F(c*x) with consistently transformed derivatives."""
+    """Problem x -> k*F(c*x) with consistently transformed derivatives.
+
+    The scaled map passes a stack on: its evaluate_stack hands the rows
+    times c to _fill_stack and multiplies the values by k, element by
+    element the multiplies of a call on one point, so a stack and a loop
+    of calls give the same bits."""
     c, k = s.c, s.k
     base_f, base_jac = problem.f, problem.jacobian
     m = problem.dimension
 
     def f_scaled(x):
         return k * as_vector(base_f(x * c))
+
+    def evaluate_stack(Z, FZ):
+        _fill_stack(base_f, Z * c, FZ, m)
+        FZ *= k
+
+    f_scaled.evaluate_stack = evaluate_stack
 
     jac_scaled = None
     if base_jac is not None:

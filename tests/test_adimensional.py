@@ -398,8 +398,8 @@ class TestGStack:
 
     @pytest.mark.parametrize("m", [2, 10])
     def test_a_scaled_g_is_scaled_in_its_stacks_too(self, m):
-        # apply_scaling replaces G's f by y -> k G(c y), which has no stack
-        # of its own: every row goes through it, as through a plain G's
+        # apply_scaling replaces G's f by y -> k G(c y), whose stack hands
+        # the rows times c to G's stack: the bits of a plain G's rows
         form = adimensionalize(h_equation_problem(m, 0.78), np.ones(m))
         s = LinearScaling(c=1.5, k=-3.0)
         scaled = apply_scaling(form.g, s)
@@ -454,6 +454,11 @@ class TestAdimensionalPolynomial:
         with pytest.raises(ValueError):
             AdimensionalPolynomial(a=-0.1)
 
+    @pytest.mark.parametrize("a, b", [(float("nan"), 0.0), (0.1, float("nan"))])
+    def test_nan_coefficients_rejected(self, a, b):
+        with pytest.raises(ValueError, match="a and b must be nonnegative"):
+            AdimensionalPolynomial(a=a, b=b)
+
     @given(k2=st.floats(0.01, 5.0), B=st.floats(0.01, 5.0),
            eta=st.floats(0.01, 5.0), lam=st.floats(0.1, 10.0))
     @settings(max_examples=50, deadline=None)
@@ -476,3 +481,13 @@ class TestAdimensionalPolynomial:
             adimensional_polynomial(1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             adimensional_polynomial(-1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("k2, B, eta, k3, message", [
+        (1.0, float("nan"), 1.0, None, "B and eta must be positive"),
+        (1.0, 1.0, float("nan"), None, "B and eta must be positive"),
+        (float("nan"), 1.0, 1.0, None, "k2 must be nonnegative"),
+        (1.0, 1.0, 1.0, float("nan"), "k3 must be nonnegative"),
+    ])
+    def test_nan_inputs_rejected(self, k2, B, eta, k3, message):
+        with pytest.raises(ValueError, match=message):
+            adimensional_polynomial(k2, B, eta, k3)

@@ -79,6 +79,12 @@ class TestNewtonSequences:
         with pytest.raises(ValueError):
             newton_sequences(-0.1, 5)
 
+    def test_rejects_nan_a(self):
+        # NaN fails every comparison, so "a < 0" let it through and the run
+        # was all NaN, with status "positive"
+        with pytest.raises(ValueError, match="a must be nonnegative"):
+            newton_sequences(float("nan"), 5)
+
 
 class TestSteffensenSequences:
     def test_hand_values_a_half(self):
@@ -124,6 +130,10 @@ class TestSteffensenSequences:
     def test_truncates_above_half(self):
         seqs = steffensen_sequences(0.7, 50)
         assert seqs.status == "not positive"
+
+    def test_rejects_nan_a(self):
+        with pytest.raises(ValueError, match="a must be nonnegative"):
+            steffensen_sequences(float("nan"), 5)
 
     @given(a=st.floats(0.01, 0.5))
     @settings(max_examples=40, deadline=None)
@@ -184,6 +194,11 @@ class TestMajorizingRoots:
         with pytest.raises(ValueError):
             majorizing_roots(0.51)
 
+    def test_rejects_nan_a(self):
+        # bounds-report's s* for a NaN K2, B or eta: it exits 2 now
+        with pytest.raises(ValueError, match="a must be nonnegative"):
+            majorizing_roots(float("nan"))
+
 
 class TestCubicRoots:
     def test_reduces_to_quadratic_when_b_zero(self):
@@ -222,6 +237,11 @@ class TestCubicRoots:
         cls = cubic_positive_roots(0.5, 0.0)
         assert cls.kind == "double"
         assert cls.roots[0] == pytest.approx(2.0, abs=1e-6)
+
+    @pytest.mark.parametrize("a, b", [(float("nan"), 0.1), (0.1, float("nan"))])
+    def test_rejects_nan_coefficients(self, a, b):
+        with pytest.raises(ValueError, match="a and b must be nonnegative"):
+            cubic_positive_roots(a, b)
 
 
 class TestErrorEnvelopes:

@@ -44,6 +44,22 @@ class TestExitCodes:
     def test_no_subcommand_exit_2(self, capsys):
         assert main([]) == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["bounds-report", "--k2", "nan", "--B", "1", "--eta", "0.5",
+          "--system", "newton"], "a must be nonnegative"),
+        (["bounds-report", "--k2", "1", "--B", "nan", "--eta", "0.5",
+          "--system", "steffensen"], "a must be nonnegative"),
+        (["custom", "--problem", "f1", "--x0", "0.0", "--tol-res", "nan"],
+         "tolerances must be nonnegative"),
+    ])
+    def test_a_nan_value_exits_2_as_a_negative_one_does(self, argv, message,
+                                                       tmp_path, capsys):
+        # NaN passed every "x < 0" test: bounds-report wrote an all-NaN
+        # table with [PASS] and exit 0, custom ran silently to max-iter
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_unknown_subcommand_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-experiment"])

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import sys
@@ -777,6 +778,43 @@ class TestAsis:
         assert trace.n_evals == 2 * m + 1 + n * (m + 1)
 
 
+class TestScaledStacks:
+    """Solves on a scaled H-equation, whose stacks pass through
+    apply_scaling, against the same problem behind a plain one-point
+    function: the same runs, and counts of one call per point."""
+
+    STOP = StoppingCriteria(step_tol=0.0, residual_tol=1e-10, max_iter=50)
+    SCALING = LinearScaling(c=1.3, k=0.7)
+
+    @pytest.mark.parametrize("m", [10, 100])
+    @pytest.mark.parametrize("method", [
+        Steffensen(), Steffensen(DividedDifference("integral")), ASIS()],
+        ids=["componentwise", "integral", "asis"])
+    def test_runs_are_those_of_one_call_per_point(self, m, method):
+        p = apply_scaling(h_equation_problem(m, 0.78), self.SCALING)
+        plain = dataclasses.replace(p, f=lambda x: p.f(x))
+        x0 = np.ones(m) / self.SCALING.c
+        got, want = (solve(q, method, x0, self.STOP) for q in (p, plain))
+        assert got.status == want.status == "converged-by-residual"
+        assert (got.n_evals, got.n_jac_evals) == (want.n_evals, want.n_jac_evals)
+        for name in ("iterates", "residual_norms", "step_norms"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    @pytest.mark.parametrize("nested", [False, True])
+    @pytest.mark.parametrize("method", [Steffensen(), ASIS()],
+                             ids=["componentwise", "asis"])
+    def test_n_evals_counts_each_stack_row_once(self, method, nested):
+        rec, calls = recording(h_equation_problem(10, 0.78))
+        p = apply_scaling(rec, self.SCALING)
+        if nested:
+            p = apply_scaling(p, LinearScaling(c=-0.6, k=2.5))
+        x0 = np.ones(10) / (self.SCALING.c * (-0.6 if nested else 1.0))
+        trace = solve(p, method, x0, self.STOP)
+        assert trace.status == "converged-by-residual"
+        assert trace.n_evals == len(calls["f"])
+        assert trace.n_jac_evals == len(calls["jac"])
+
+
 class TestAsisThroughSolve:
     @pytest.mark.parametrize("dd", ["componentwise", "integral"])
     @pytest.mark.parametrize("problem, x0", [
@@ -955,6 +993,12 @@ class TestStoppingCriteria:
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError):
             StoppingCriteria(step_tol=-1.0)
+
+    @pytest.mark.parametrize("field", ["step_tol", "residual_tol"])
+    def test_nan_tolerance_rejected(self, field):
+        # a NaN residual_tol stopped nothing: every run went to max-iter
+        with pytest.raises(ValueError, match="tolerances must be nonnegative"):
+            StoppingCriteria(**{field: float("nan")})
 
     def test_zero_max_iter_rejected(self):
         with pytest.raises(ValueError):

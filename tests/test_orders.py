@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from adimsolve.methods import (HFamily, Newton, Secant, Steffensen,
                                StoppingCriteria, solve)
-from adimsolve.orders import (InsufficientDataError, aq_order, q_order,
-                              r_order)
+from adimsolve.orders import (InsufficientDataError, OrderEstimate, aq_order,
+                              q_order, r_order)
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -55,6 +55,14 @@ class TestSyntheticSequences:
     def test_aq_order_rejects_bad_eta(self):
         with pytest.raises(ValueError):
             aq_order(synthetic_errors(2.0), eta=0.0)
+
+    def test_aq_order_rejects_nan_eta(self):
+        with pytest.raises(ValueError, match="eta must be positive"):
+            aq_order(synthetic_errors(2.0), eta=float("nan"))
+
+    def test_an_estimate_of_nan_order_is_rejected(self):
+        with pytest.raises(ValueError, match="order must be positive"):
+            OrderEstimate(notion="Q", p=float("nan"), per_step=(), stable=False)
 
 
 class TestDataFiltering:

@@ -11,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dgetrs, dlange
 
+from adimsolve.adimensional import adimensionalize
 from adimsolve.methods import IterationTrace
 from adimsolve.problems import (AlreadyAtRootError, DomainError,
                                 LinearScaling, Problem,
                                 SingularOperatorError, apply_scaling,
-                                as_matrix, as_point, builtin_problem,
+                                as_matrix, as_point, as_vector,
+                                builtin_problem,
                                 euclidean_norm, factor_nonsingular,
                                 kantorovich_data, lu_solve, sample_k2,
                                 solve_linear)
@@ -160,6 +162,83 @@ class TestEvaluateStack:
         for exc in (got, rows):
             assert type(exc) is error
             assert str(exc) == message
+
+
+def scaled_problem(m, which):
+    """A scaled problem and its start: of a plain F, of a form's G, or of
+    a scaled F scaled again; F is f1 at m = 1, the H-equation (c = 0.78)
+    above."""
+    if m == 1:
+        p, x0 = builtin_problem("f1"), np.zeros(1)
+    else:
+        p, x0 = h_equation_problem(m, 0.78), np.ones(m)
+    s1, s2 = LinearScaling(c=1.3, k=-0.7), LinearScaling(c=-0.6, k=2.5)
+    if which == "form":
+        form = adimensionalize(p, x0)
+        return apply_scaling(form.g, s1), form.y0
+    if which == "nested":
+        return apply_scaling(apply_scaling(p, s1), s2), x0 / (s1.c * s2.c)
+    return apply_scaling(p, s1), x0 / s1.c
+
+
+def one_call_per_point(p):
+    """p behind a plain function of one point: its stacks go row by row."""
+    return dataclasses.replace(p, f=lambda x: p.f(x))
+
+
+class TestScaledStack:
+    """apply_scaling's evaluate_stack: the rows times c to F's stack or F,
+    then times k, the bits and errors of calling the scaled f per row."""
+
+    @pytest.mark.parametrize("m", [1, 2, 10, 100])
+    @pytest.mark.parametrize("which", ["plain", "form", "nested"])
+    def test_stack_is_the_scaled_map_row_by_row(self, m, which):
+        q, start = scaled_problem(m, which)
+        Z = start + np.random.default_rng(m).uniform(-0.1, 0.1, (m + 1, m))
+        FZ = np.empty_like(Z)
+        q.f.evaluate_stack(Z, FZ)
+        rows = np.array([as_vector(q.f(z if m > 1 else z[0])) for z in Z])
+        assert np.array_equal(FZ, rows)
+
+    def test_a_base_with_a_stack_gets_the_whole_stack(self):
+        seen = []
+
+        def f(x):
+            raise AssertionError("F called on one point")
+
+        def evaluate_stack(Z, FZ):
+            seen.append(Z.copy())
+            FZ[:] = Z
+
+        f.evaluate_stack = evaluate_stack
+        q = apply_scaling(Problem(f=f, dimension=3), LinearScaling(2.0, 3.0))
+        Z, FZ = np.arange(12.0).reshape(4, 3), np.empty((4, 3))
+        q._evaluate_stack(Z, FZ)
+        assert len(seen) == 1 and np.array_equal(seen[0], 2.0 * Z)
+        assert np.array_equal(FZ, 6.0 * Z)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("s, returns, error, message", [
+        (LinearScaling(1e300, 1.0), "x", DomainError,
+         "domain failure: non-finite value of F"),        # Z c overflows
+        (LinearScaling(1.0, 1e300), "x", DomainError,
+         "domain failure: non-finite value of F"),        # k F overflows
+        (LinearScaling(2.0, 3.0), "shape", ValueError,
+         "evaluator output has wrong dimension"),
+    ])
+    def test_errors_are_the_row_paths(self, m, s, returns, error, message):
+        def f(x):
+            return x if returns == "x" else np.ones(m + 1)
+
+        q = apply_scaling(Problem(f=f, dimension=m), s)
+        Z = np.full((4, m), 1e10)
+        got = []
+        for p in (q, one_call_per_point(q)):
+            with np.errstate(over="ignore"):
+                with pytest.raises(error) as exc:
+                    p._evaluate_stack(Z, np.empty_like(Z))
+            got.append(str(exc.value))
+        assert got == [message, message]
 
 
 class TestAsPoint:
@@ -394,8 +473,21 @@ class TestScaling:
         with pytest.raises(ValueError):
             LinearScaling(0.0, 1.0)
 
+    @pytest.mark.parametrize("c, k", [
+        (np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, -np.inf)])
+    def test_non_finite_factor_rejected(self, c, k):
+        with pytest.raises(ValueError,
+                           match="scaling factors must be finite and nonzero"):
+            LinearScaling(c, k)
+
 
 class TestKantorovichData:
+    @pytest.mark.parametrize("k2", [-1.0, float("nan")])
+    def test_a_negative_or_nan_k2_is_rejected(self, k2):
+        # a NaN K2 would make every a = K2 B eta NaN
+        with pytest.raises(ValueError, match="k2 must be nonnegative"):
+            Problem(f=lambda x: x, k2=k2)
+
     def test_threshold_gives_a_half(self, f1):
         data = kantorovich_data(f1, X0_THRESHOLD, mode="newton", k2=1.0)
         assert data.a == pytest.approx(0.5, abs=1e-12)
