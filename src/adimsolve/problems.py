@@ -22,7 +22,7 @@ DBL_MIN, DBL_MAX = sys.float_info.min, sys.float_info.max
 LANE_MIN = DBL_MIN
 LANE_MAX = 1.0 / DBL_MIN
 K2_SAMPLES = 24     # random points sample_k2 adds to the center and axis points
-K2_DELTA = 1e-5     # sample_k2's central-difference step on the Jacobian
+K2_DELTA = 1e-5     # sample_k2's forward-difference step on the Jacobian
 
 
 class DomainError(Exception):
@@ -330,6 +330,26 @@ class LinearScaling:
         return LinearScaling(1.0 / self.c, 1.0 / self.k)
 
 
+def _times(*factors) -> Callable:
+    """v -> factors[0] * ... * factors[-1] * v.  The scalar prefix is formed
+    once, left to right, and used wherever each partial product is a normal
+    double: the bits of the expression as written.  Otherwise v is
+    multiplied by the factors one at a time, last first, so a prefix that
+    leaves the normal range loses neither a finite product nor its bits.
+    A product that overflows there is inf, unwarned, as the prefix's is."""
+    prefix = 1.0
+    for f in factors:
+        prefix *= f
+        if not DBL_MIN <= abs(prefix) <= DBL_MAX:
+            def times(v):
+                with np.errstate(over="ignore", under="ignore"):
+                    for f in reversed(factors):
+                        v = f * v
+                return v
+            return times
+    return lambda v: prefix * v
+
+
 def apply_scaling(problem: Problem, s: LinearScaling) -> Problem:
     """Problem x -> k*F(c*x) with consistently transformed derivatives.
 
@@ -352,16 +372,18 @@ def apply_scaling(problem: Problem, s: LinearScaling) -> Problem:
 
     jac_scaled = None
     if base_jac is not None:
+        kc = _times(k, c)
         def jac_scaled(x):
-            return (k * c) * as_matrix(base_jac(x * c))
+            return kc(as_matrix(base_jac(x * c)))
 
     d2_scaled = None
     if problem.d2f is not None:
-        base_d2 = problem.d2f
+        base_d2, kcc = problem.d2f, _times(k, c, c)
         def d2_scaled(x):
-            return k * c * c * base_d2(x * c)
+            return kcc(base_d2(x * c))
 
-    k2_scaled = None if problem.k2 is None else abs(k) * c * c * problem.k2
+    k2_scaled = (None if problem.k2 is None
+                 else _times(abs(k), c, c)(problem.k2))
     return dataclasses.replace(problem, f=f_scaled, jacobian=jac_scaled,
                                d2f=d2_scaled, k2=k2_scaled,
                                name=f"{problem.name}(scaled c={c},k={k})")
@@ -391,7 +413,7 @@ def kantorovich_data(problem: Problem, x0, mode: str = "newton",
     K2 is taken explicit (argument, then problem.k2) or estimated by
     sample_k2 over the ball B(x0, 2*eta): the largest closed-form bound on
     ||F''|| at its 2m + 25 sample points, each at least the true norm there
-    and at most m times it, for 2m Jacobians and one reduction per point.
+    and at most m times it, for m + 1 Jacobians and one reduction per point.
     F'(x0) is factored once, for B and eta, and rejected as singular as in
     factor_nonsingular.
     """
@@ -419,8 +441,10 @@ def sample_k2(problem: Problem, x0, radius: float) -> float:
     """Largest sampled bound on ||F''|| over the ball B(x0, radius).
 
     At each sample point x the variation tensor D[j] = F''(x)[e_j] is the
-    central difference (F'(x + delta e_j) - F'(x - delta e_j)) / 2 delta of
-    the 2m Jacobians there, taken as one checked stack.  Its norm bound is
+    forward difference (F'(x + delta e_j) - F'(x)) / delta of the m + 1
+    Jacobians there, taken as one checked stack.  Each slab is exactly the
+    central difference of F' at x + (delta/2) e_j, so it is second-order
+    accurate there, a point inside the ball K2 bounds.  Its norm bound is
     closed-form, one reduction per point: ||D||_F (the square root of the
     sum of the m^3 squares) in the Euclidean norm, max_i sum_{j,k}
     |D[j, i, k]| in the max norm.  Each is at least the norm of the
@@ -442,17 +466,17 @@ def sample_k2(problem: Problem, x0, radius: float) -> float:
         u /= max(np.linalg.norm(u), 1e-30)
         pts.append(x0 + radius * rng.uniform(0.0, 1.0) * u)
     steps = K2_DELTA * np.eye(m)
-    # rows x + delta e_0, x - delta e_0, x + delta e_1, ...: the order in
-    # which a loop over the axes calls the Jacobian.  The buffers serve
-    # every point, so no point allocates its ~3m^3 doubles anew.
-    X, J, D = np.empty((2 * m, m)), np.empty((2 * m, m, m)), np.empty((m, m, m))
+    # row 0 is x and row j + 1 is x + delta e_j: the order in which a loop
+    # over the axes calls the Jacobian.  The buffers serve every point, so
+    # no point allocates its ~2m^3 doubles anew.
+    X, J, D = np.empty((m + 1, m)), np.empty((m + 1, m, m)), np.empty((m, m, m))
     best = 0.0
     for x in pts:
-        X[0::2] = x + steps
-        X[1::2] = x - steps
+        X[0] = x
+        np.add(x, steps, out=X[1:])
         problem._jac_stack(X, J)
-        np.subtract(J[0::2], J[1::2], out=D)
-        D /= 2.0 * K2_DELTA
+        np.subtract(J[1:], J[0], out=D)
+        D /= K2_DELTA
         if problem.norm == "max":
             bound = float(np.abs(D).sum(axis=(0, 2)).max())
         else:

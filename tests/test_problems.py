@@ -469,6 +469,48 @@ class TestScaling:
         assert scaled.jac(x)[0, 0] == pytest.approx(
             10.0 * f1.jac(2.0 * x)[0, 0], rel=1e-14)
 
+    def test_jacobian_survives_an_overflowing_k_c(self, f1):
+        # k c = 3.2e308 overflows, k (c f1'(0)) = 1.16e308 does not
+        k, c = -1e160, -10.0 ** 148.5
+        J = apply_scaling(f1, LinearScaling(c, k)).jac([0.0])
+        assert J[0, 0] == k * (c * math.exp(-1.0))
+        assert math.isfinite(J[0, 0])
+
+    def test_jacobian_keeps_its_bits_past_a_subnormal_k_c(self):
+        # k c = 1e-310 is subnormal: formed first it drops bits of the
+        # normal 1e-110
+        k, c = 1e-300, 1e-10
+        p = Problem(f=lambda x: 1e200 * x, jacobian=lambda x: 1e200)
+        J = apply_scaling(p, LinearScaling(c, k)).jac([0.0])
+        assert J[0, 0] == k * (c * 1e200)
+        assert J[0, 0] != (k * c) * 1e200
+
+    def test_second_derivative_survives_an_overflowing_k_c(self, f1):
+        # k c c = 1e320 overflows, k c c f1''(-200) = 5.1e232 does not
+        k, c, x = 1e300, 1e10, -2e-8
+        d2 = apply_scaling(f1, LinearScaling(c, k)).second_derivative(x)
+        assert d2 == k * (c * (c * math.exp(x * c - 1.0)))
+        assert math.isfinite(d2)
+
+    def test_k2_survives_an_overflowing_prefix(self):
+        # |k| c c = 1e410 overflows, |k| c c K2 = 1e210 does not
+        k, c = -1e10, 1e200
+        p = Problem(f=lambda x: x, jacobian=lambda x: 1.0, k2=1e-200)
+        k2 = apply_scaling(p, LinearScaling(c, k)).k2
+        assert k2 == abs(k) * (c * (c * 1e-200))
+        assert math.isfinite(k2)
+
+    def test_a_normal_prefix_keeps_the_bits_of_the_prefix_first(self, example3):
+        # the scalar prefix formed first, as golden files were written
+        k, c = -0.7, 1.3
+        x = np.array([0.3, -0.7])
+        scaled = apply_scaling(example3, LinearScaling(c, k))
+        assert np.array_equal(scaled.jac(x), (k * c) * example3.jac(x * c))
+        p = Problem(f=np.exp, jacobian=np.exp, d2f=np.exp, k2=0.37)
+        scaled = apply_scaling(p, LinearScaling(c, k))
+        assert scaled.second_derivative(0.2) == k * c * c * math.exp(0.2 * c)
+        assert scaled.k2 == abs(k) * c * c * 0.37
+
     def test_zero_factor_rejected(self):
         with pytest.raises(ValueError):
             LinearScaling(0.0, 1.0)
@@ -574,13 +616,10 @@ class TestKantorovichData:
         assert data.a == pytest.approx(base.a, abs=1e-10)
 
 
-def reference_sample_k2(problem, x0, radius, n_samples=24, delta=1e-5):
-    """The per-slice K2 proxy as a loop: at each sample point, the largest
-    operator norm of one axis's Jacobian variation F''(x)[e_j], each taken
-    exactly (LAPACK's 2-norm).  It is a lower bound on the norm of F''(x),
-    and on sample_k2's bound."""
-    x0 = as_point(x0, problem.dimension)
-    m = problem.dimension
+def k2_sample_points(x0, radius, n_samples=24):
+    """sample_k2's points as a loop: the center, the 2m axis points at the
+    full radius and the seeded cloud."""
+    m = len(x0)
     pts = [x0]
     for j in range(m):
         e = np.zeros(m); e[j] = radius
@@ -591,16 +630,40 @@ def reference_sample_k2(problem, x0, radius, n_samples=24, delta=1e-5):
         u = rng.standard_normal(m)
         u /= max(np.linalg.norm(u), 1e-30)
         pts.append(x0 + radius * rng.uniform(0.0, 1.0) * u)
+    return pts
+
+
+def central_slabs(problem, x, delta=1e-5):
+    """The tensor D[j] = F''(x)[e_j] as central differences of F' at x."""
+    m = problem.dimension
+    D = np.empty((m, m, m))
+    for j in range(m):
+        e = np.zeros(m); e[j] = delta
+        D[j] = (problem.jac(x + e) - problem.jac(x - e)) / (2.0 * delta)
+    return D
+
+
+def reference_sample_k2(problem, x0, radius):
+    """The per-slice K2 proxy as a loop: at each sample point, the largest
+    operator norm of one axis's Jacobian variation F''(x)[e_j], each taken
+    exactly (LAPACK's 2-norm).  It is a lower bound on the norm of F''(x),
+    and on sample_k2's bound."""
     best = 0.0
-    for x in pts:
-        for j in range(m):
-            e = np.zeros(m); e[j] = delta
-            D = (problem.jac(x + e) - problem.jac(x - e)) / (2.0 * delta)
+    for x in k2_sample_points(as_point(x0, problem.dimension), radius):
+        for D in central_slabs(problem, x):
             if problem.norm == "max":
                 best = max(best, float(np.max(np.sum(np.abs(D), axis=1))))
             else:
                 best = max(best, float(np.linalg.norm(D, 2)))
     return best
+
+
+def central_frobenius_k2(problem, x0, radius):
+    """sample_k2's Euclidean bound with central slabs at each sample point
+    itself: the largest ||D||_F, 2m Jacobians a point."""
+    return max(float(np.linalg.norm(central_slabs(problem, x)))
+               for x in k2_sample_points(as_point(x0, problem.dimension),
+                                         radius))
 
 
 def h_equation_second_derivative(m, c, x):
@@ -683,6 +746,28 @@ class TestSampleK2:
                     dimension=2)
         with pytest.raises(ValueError, match="Jacobian has wrong shape"):
             sample_k2(p, [0.5, 0.0], 1.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 8])
+    def test_m_plus_one_jacobians_at_each_sample_point(self, m):
+        # each point's stack is the point itself, then x + delta e_j
+        rng = np.random.default_rng(300 + m)
+        p, calls = recording(random_quadratic_problem(rng, m))
+        x0 = rng.uniform(-0.5, 0.5, m)
+        sample_k2(p, x0, 0.7)
+        assert len(calls["jac"]) == (2 * m + 25) * (m + 1)
+        X = np.array(calls["jac"][:m + 1])
+        assert np.array_equal(X[0], x0)
+        assert np.array_equal(X[1:] - x0, np.diag(np.diag(X[1:] - x0)))
+        np.testing.assert_allclose(np.diag(X[1:] - x0), 1e-5, rtol=1e-9)
+
+    @pytest.mark.parametrize("c", [0.5, 0.9])
+    @pytest.mark.parametrize("m", [8, 16, 24])
+    def test_forward_slabs_match_central_slabs_on_the_h_equation(self, m, c):
+        # each forward slab is the central one at x + (delta/2) e_j
+        p, x0 = h_equation_problem(m, c), np.ones(m)
+        radius = 2.0 * kantorovich_data(p, x0, k2=1.0).eta
+        assert sample_k2(p, x0, radius) == pytest.approx(
+            central_frobenius_k2(p, x0, radius), rel=1e-5)
 
     @pytest.mark.parametrize("norm", ["euclidean", "max"])
     def test_finite_difference_jacobian(self, norm):
