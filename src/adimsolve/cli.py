@@ -7,6 +7,7 @@ every per-experiment assertion passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -32,6 +33,17 @@ PAPER_RUNS = (
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser for the current problem table.
+
+    One parser is kept, keyed on the tables its choices come from: calls
+    with the same `problems.BUILTIN_PROBLEMS` names reuse it, and a
+    problem added or removed builds a new one on the next call.
+    """
+    return _parser(tuple(problems.BUILTIN_PROBLEMS), divdiff.VARIANTS)
+
+
+@functools.lru_cache(maxsize=1)
+def _parser(problem_names: tuple, dd_variants: tuple) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adimsolve",
         description="Nonlinear-equation experiments: classic iterations and "
@@ -66,17 +78,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("custom", help="named problem, chosen methods")
     p.add_argument("--problem", required=True,
-                   choices=tuple(problems.BUILTIN_PROBLEMS))
+                   choices=problem_names)
     p.add_argument("--method", action="append", default=None,
                    help="repeatable; e.g. newton, steffensen, asis, secant, "
                         "halley, damped-steffensen")
-    p.add_argument("--x0", type=float, nargs="+", default=[0.0])
+    # the kept parser hands the same default object to every namespace
+    p.add_argument("--x0", type=float, nargs="+", default=(0.0,))
     p.add_argument("--tol-step", type=float, default=0.0)
     p.add_argument("--tol-res", type=float, default=1e-15)
     p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--b", type=float, default=0.1)
-    p.add_argument("--dd", choices=divdiff.VARIANTS, default="componentwise")
+    p.add_argument("--dd", choices=dd_variants, default="componentwise")
     common(p)
     return parser
 

@@ -18,7 +18,7 @@ from . import bounds as bounds_mod
 from .divdiff import DividedDifference
 from .methods import (ASIS, DampedFirstOrder, DampedSteffensen, FixedSlope,
                       HFamily, IterationTrace, Newton, Secant, Steffensen,
-                      StoppingCriteria, asis_solve, solve)
+                      StoppingCriteria, asis_solve, csv_text, solve)
 from .problems import (AlreadyAtRootError, DomainError, KantorovichData,
                        SingularOperatorError, builtin_problem)
 
@@ -89,9 +89,7 @@ class ExperimentResult:
             written.append(path)
         for tag, (header, rows) in self.tables.items():
             path = out_dir / f"{self.name}_{tag}.csv"
-            lines = [",".join(header)]
-            lines += [",".join(str(v) for v in row) for row in rows]
-            path.write_text("\n".join(lines) + "\n")
+            path.write_text(csv_text(header, rows))
             written.append(path)
         if self.metadata:
             path = out_dir / f"{self.name}_metadata.json"

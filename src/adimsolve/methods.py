@@ -4,9 +4,7 @@ scale-invariant Steffensen driver run on the adimensional form.
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 import json
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
@@ -40,6 +38,14 @@ class StoppingCriteria:
             raise ValueError("tolerances must be nonnegative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+
+
+def csv_text(header, rows) -> str:
+    """The header and rows as CSV lines, each ending in a newline.  Every
+    cell is a name, an int, a repr float or "", none of which needs
+    quoting, so the cells are joined directly."""
+    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -85,11 +91,8 @@ class IterationTrace:
 
     def to_csv(self) -> str:
         m = len(self.iterates[0]) if self.iterates else 0
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["n"] + [f"x{i}" for i in range(m)] + ["res_norm", "step_norm"])
-        w.writerows(self.to_rows())
-        return buf.getvalue()
+        return csv_text(["n"] + [f"x{i}" for i in range(m)]
+                        + ["res_norm", "step_norm"], self.to_rows())
 
     def to_json(self) -> str:
         return json.dumps({

@@ -220,13 +220,68 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 
 def test_outputs_match_the_stored_golden_files(tmp_path, capsys):
     """The paper's runs write the same bytes as the stored reference files
-    (iterates, residuals and tables unchanged to the last bit)."""
-    for argv in PAPER_RUNS:
-        assert main([*argv, "--out", str(tmp_path)]) == 0
-    written = sorted(p.name for p in tmp_path.iterdir())
-    assert written == sorted(p.name for p in GOLDEN.iterdir())
-    for name in written:
-        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    (iterates, residuals and tables unchanged to the last bit), in both
+    of two passes in one process, as run_experiments.py and the
+    benchmark call main."""
+    for d in ("pass1", "pass2"):
+        for argv in PAPER_RUNS:
+            assert main([*argv, "--out", str(tmp_path / d)]) == 0
+        written = sorted(p.name for p in (tmp_path / d).iterdir())
+        assert written == sorted(p.name for p in GOLDEN.iterdir())
+        for name in written:
+            assert ((tmp_path / d / name).read_bytes()
+                    == (GOLDEN / name).read_bytes()), (d, name)
+
+
+class TestKeptParser:
+    """main keeps one parser per problem table; no run sees another's."""
+
+    def test_unchanged_table_reuses_the_parser(self):
+        assert build_parser() is build_parser()
+
+    def test_a_table_change_builds_a_new_parser(self, monkeypatch, tmp_path,
+                                                capsys):
+        argv = ["custom", "--problem", "line", "--method", "newton",
+                "--x0", "3.0", "--out", str(tmp_path)]
+        assert main(["custom", "--problem", "f1", "--method", "newton"]) == 0
+        monkeypatch.setitem(problems.BUILTIN_PROBLEMS, "line", lambda: Problem(
+            f=lambda x: 2.0 * x - 1.0, jacobian=lambda x: 2.0, name="line"))
+        assert main(argv) == 0
+        monkeypatch.undo()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice: 'line'" in capsys.readouterr().err
+
+    def test_methods_do_not_pile_up(self, tmp_path, capsys):
+        for d in ("a", "b"):
+            assert main(["custom", "--problem", "f1", "--method", "newton",
+                         "--out", str(tmp_path / d)]) == 0
+            assert [p.name for p in (tmp_path / d).iterdir()] == [
+                "custom_f1_newton.csv"]
+
+    def test_no_method_after_asis_is_newton(self, tmp_path, capsys):
+        assert main(["custom", "--problem", "f1", "--method", "asis",
+                     "--out", str(tmp_path / "a")]) == 0
+        assert main(["custom", "--problem", "f1",
+                     "--out", str(tmp_path / "b")]) == 0
+        assert [p.name for p in (tmp_path / "b").iterdir()] == [
+            "custom_f1_newton.csv"]
+
+    def test_no_x0_after_an_x0_starts_at_zero(self, tmp_path, capsys):
+        starts = []
+        for d, x0 in (("a", ["--x0", "0.5"]), ("b", [])):
+            assert main(["custom", "--problem", "f1", *x0, "--out",
+                         str(tmp_path / d), "--format", "json"]) == 0
+            trace = json.loads(
+                (tmp_path / d / "custom_f1_newton.json").read_text())
+            starts.append(trace["iterates"][0])
+        assert starts == [[0.5], [0.0]]
+
+    def test_help_twice(self, capsys):
+        for _ in range(2):
+            assert main([]) == 2
+            assert capsys.readouterr().out.startswith("usage: adimsolve")
 
 
 class TestConfigFile:

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import gc
+import io
 import math
 import sys
 import weakref
@@ -440,6 +442,16 @@ def reference_rows(trace):
     return rows
 
 
+def reference_csv(trace):
+    """IterationTrace.to_csv through csv.writer."""
+    m = len(trace.iterates[0]) if trace.iterates else 0
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["n"] + [f"x{i}" for i in range(m)] + ["res_norm", "step_norm"])
+    w.writerows(reference_rows(trace))
+    return buf.getvalue()
+
+
 def reference_log10_table(errs):
     """experiments._log10_error_table, one numpy scalar at a time."""
     rows = []
@@ -477,6 +489,20 @@ class TestTraceSerialization:
         assert trace.to_csv() == "n,res_norm,step_norm\n"
         errors = trace.errors([1.0, 2.0])
         assert errors.shape == (0,) and errors.dtype == np.float64
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_csv_is_the_csv_writers(self, m, n):
+        # nan, +-inf, -0.0 and a subnormal, cycled through the iterates,
+        # residuals and steps; n = 0 is the empty trace, n = 1 a trace
+        # with no step
+        cells = iter(8 * [math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                          1.5, -2.25e300])
+        take = lambda k: [next(cells) for _ in range(k)]
+        trace = IterationTrace(
+            iterates=[np.array(take(m)) for _ in range(n)],
+            residual_norms=take(n), step_norms=take(max(n - 1, 0)))
+        assert trace.to_csv() == reference_csv(trace)
 
     def test_csv_shape_and_header(self, example3):
         trace = solve(example3, Newton(), [0.0, 0.0], STOP)
