@@ -12,12 +12,11 @@ from .bounds import (BoundSequences, ErrorEnvelopes, HypothesesNotSatisfied,
                      steffensen_sequences)
 from .divdiff import (DividedDifference, componentwise_dd, integral_dd,
                       scalar_dd, verify_interpolatory)
-from .methods import (ASIS, AsisResult, Bisection, DampedFirstOrder,
-                      DampedSteffensen, FixedSlope, HFamily, IterationTrace,
-                      Newton, Secant, Steffensen, StoppingCriteria,
-                      asis_solve, damped_steffensen_step, h_family_step,
-                      logarithmic_convexity, newton_step, secant_step, solve,
-                      steffensen_step)
+from .methods import (ASIS, Bisection, DampedFirstOrder, DampedSteffensen,
+                      FixedSlope, HFamily, IterationTrace, Newton, Secant,
+                      Steffensen, StoppingCriteria, damped_steffensen_step,
+                      h_family_step, logarithmic_convexity, newton_step,
+                      secant_step, solve, steffensen_step)
 from .orders import (InsufficientDataError, OrderEstimate, aq_order, q_order,
                      r_order)
 from .problems import (AlreadyAtRootError, DomainError, KantorovichData,

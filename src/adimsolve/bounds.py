@@ -4,6 +4,7 @@ quadratics used as oracles for the recurrences.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List
 
@@ -151,15 +152,16 @@ class MajorizingRoots:
 
 
 def majorizing_roots(a: float) -> MajorizingRoots:
-    """Roots of (a/2)s^2 - s + 1 in closed form; requires a <= 1/2."""
+    """Roots of (a/2)s^2 - s + 1 in closed form; requires a <= 1/2.
+    s* = 2/(1 + sqrt(1 - 2a)) is (1 - sqrt(1 - 2a))/a without its
+    cancellation, so s* stays exact as a -> 0."""
     if not a >= 0.0:
         raise ValueError("a must be nonnegative")
-    if a == 0.0:
-        return MajorizingRoots(1.0, float("inf"))
     if a > A_MAX:
         raise ValueError("no real roots when a > 1/2")
     root_disc = np.sqrt(1.0 - 2.0 * a)
-    return MajorizingRoots((1.0 - root_disc) / a, (1.0 + root_disc) / a)
+    s_star_star = (1.0 + root_disc) / a if a else float("inf")
+    return MajorizingRoots(2.0 / (1.0 + root_disc), s_star_star)
 
 
 @dataclass(frozen=True)
@@ -173,34 +175,34 @@ def cubic_positive_roots(a: float, b: float,
     """Classify the positive roots of q(s) = (b/6)s^3 + (a/2)s^2 - s + 1.
 
     q(0) = 1 and q'(0) = -1; for a, b >= 0 the derivative has exactly one
-    positive zero (the minimum of q), so the sign of the minimum decides:
-    negative -> two simple positive roots, zero -> one double, positive ->
-    none.  Roots are located by safeguarded bisection.
+    positive zero s_c = 2/(a + sqrt(a^2 + 2b)) (the minimum of q), so the
+    sign of the minimum decides: negative -> two simple positive roots,
+    zero -> one double, positive -> none.  The quadratic (b = 0) takes
+    majorizing_roots' closed form; the cubic's roots are located by
+    safeguarded bisection.
     """
     if not (a >= 0.0 and b >= 0.0):
         raise ValueError("a and b must be nonnegative")
-    if a == 0.0 and b == 0.0:
-        # linear: single simple root at 1
-        return CubicRootClassification("two-simple", (1.0, float("inf")))
-    q = AdimensionalPolynomial(a=a, b=b)
-    # bracket the positive critical point of q
-    hi = 1.0
-    while q.derivative(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError("failed to bracket the critical point")
-    s_crit = brentq(q.derivative, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
-    q_min = q(s_crit)
+    if b == 0.0:
+        # q(1/a) = 1 - 1/(2a); linear (a = 0): single simple root at 1
+        q_min, s_crit = (1.0 - 0.5 / a, 1.0 / a) if a else (-math.inf, math.inf)
+    else:
+        q = AdimensionalPolynomial(a=a, b=b)
+        s_crit = 2.0 / (a + math.hypot(a, math.sqrt(2.0 * b)))
+        q_min = q(s_crit)
     if q_min > tol:
         return CubicRootClassification("none", ())
     if q_min > -tol:
         return CubicRootClassification("double", (s_crit, s_crit))
+    if b == 0.0:
+        roots = majorizing_roots(a)
+        return CubicRootClassification(
+            "two-simple", (roots.s_star, roots.s_star_star))
     r1 = brentq(q, 0.0, s_crit, xtol=1e-15, rtol=8.9e-16)
+    # q -> +inf, so the doubling ends
     hi = max(2.0 * s_crit, 1.0)
     while q(hi) < 0.0:
         hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError("failed to bracket the outer root")
     r2 = brentq(q, s_crit, hi, xtol=1e-15, rtol=8.9e-16)
     return CubicRootClassification("two-simple", (r1, r2))
 

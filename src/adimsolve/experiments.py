@@ -15,12 +15,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import bounds as bounds_mod
+from .adimensional import adimensionalize
 from .divdiff import DividedDifference
+# asis_solve is imported for perfbench/tracer.py, which patches this lookup site
 from .methods import (ASIS, DampedFirstOrder, DampedSteffensen, FixedSlope,
                       HFamily, IterationTrace, Newton, Secant, Steffensen,
                       StoppingCriteria, asis_solve, csv_text, solve)
-from .problems import (AlreadyAtRootError, DomainError, KantorovichData,
-                       SingularOperatorError, builtin_problem)
+from .problems import KantorovichData, builtin_problem
 
 EXPERIMENTS = ("example1", "example2", "example3", "zigzag", "bounds-report",
                "custom")
@@ -139,13 +140,12 @@ def run_example1(stop: Optional[StoppingCriteria] = None) -> ExperimentResult:
     res = ExperimentResult(name="example1")
     res.traces["newton"] = solve(problem, Newton(), 0.0, stop)
     res.traces["steffensen"] = solve(problem, Steffensen(), 0.0, stop)
-    asis = asis_solve(problem, 0.0, stop)
-    res.traces["asis"] = asis.x_trace
-    res.traces["asis_adimensional"] = asis.y_trace
+    asis = res.traces["asis"] = solve(problem, ASIS(), 0.0, stop)
+    res.traces["asis_adimensional"] = asis.adimensional
     root = 1.0
     e_newton = res.traces["newton"].errors(root)
     e_steff = res.traces["steffensen"].errors(root)
-    e_asis = res.traces["asis"].errors(root)
+    e_asis = asis.errors(root)
     res.tables["log_errors"] = _log10_error_table(
         {"newton": e_newton, "steffensen": e_steff, "asis": e_asis})
 
@@ -158,9 +158,9 @@ def run_example1(stop: Optional[StoppingCriteria] = None) -> ExperimentResult:
     res.check("steffensen needs strictly more iterations than newton",
               n_steff is not None and n_newton is not None
               and n_steff > n_newton, f"{n_steff} vs {n_newton}")
-    res.metadata = {"root": root, "x0": 0.0,
-                    "sigma": asis.form.sigma,
-                    "transform": asis.form.T.tolist()}
+    form = adimensionalize(problem, 0.0)
+    res.metadata = {"root": root, "x0": 0.0, "sigma": form.sigma,
+                    "transform": form.T.tolist()}
     return res
 
 
@@ -199,17 +199,16 @@ def run_example2() -> ExperimentResult:
     res.check("newton errors on f2 are half of f1 (rel 1e-12)",
               bool(np.all(rel <= 1e-12)), f"max rel dev {rel.max():.2e}")
 
-    asis1 = asis_solve(f1, 0.0, stop)
-    asis2 = asis_solve(f2, 0.0, stop)
-    res.traces["asis_f2"] = asis2.x_trace
-    y1 = asis1.y_trace.iterates
-    y2 = asis2.y_trace.iterates
+    asis1 = solve(f1, ASIS(), 0.0, stop)
+    asis2 = res.traces["asis_f2"] = solve(f2, ASIS(), 0.0, stop)
+    y1 = asis1.adimensional.iterates
+    y2 = asis2.adimensional.iterates
     n = min(len(y1), len(y2))
     dev = max(float(np.max(np.abs(y1[i] - y2[i]))) for i in range(n))
     res.check("asis adimensional traces of f1 and f2 agree to 1e-13",
               dev <= 1e-13, f"max dev {dev:.2e}")
-    ex1 = asis1.x_trace.errors(1.0)
-    ex2 = asis2.x_trace.errors(0.5)
+    ex1 = asis1.errors(1.0)
+    ex2 = asis2.errors(0.5)
     n = min(len(ex1), len(ex2))
     mask = ex1[:n] > 1e-15
     rel = np.abs(ex2[:n][mask] - 0.5 * ex1[:n][mask]) / (0.5 * ex1[:n][mask])
@@ -229,10 +228,10 @@ def run_example3() -> ExperimentResult:
     x0 = np.zeros(2)
     tr_newton = solve(problem, Newton(), x0, stop)
     tr_steff = solve(problem, Steffensen(), x0, stop)
-    asis = asis_solve(problem, x0, stop)
+    asis = solve(problem, ASIS(), x0, stop)
     res.traces["newton"] = tr_newton
     res.traces["steffensen"] = tr_steff
-    res.traces["asis"] = asis.x_trace
+    res.traces["asis"] = asis
 
     # reference root: the converged Newton limit
     root = tr_newton.x_final
@@ -243,12 +242,12 @@ def run_example3() -> ExperimentResult:
               and tr_newton.residual_norms[-1] < 1e-14)
     res.check("steffensen converged", tr_steff.status.startswith("converged"),
               tr_steff.status)
-    res.check("asis converged", asis.x_trace.status.startswith("converged"),
-              asis.x_trace.status)
+    res.check("asis converged", asis.status.startswith("converged"),
+              asis.status)
 
     e_newton = tr_newton.errors(root)
     e_steff = tr_steff.errors(root)
-    e_asis = asis.x_trace.errors(root)
+    e_asis = asis.errors(root)
     res.check("asis error <= newton error at every common index",
               _dominates(e_asis, e_newton))
     n_newton = _first_index_below(e_newton, 1e-15)
@@ -308,13 +307,11 @@ def run_zigzag(b: float) -> ExperimentResult:
 
     problem = builtin_problem("zigzag", b=b)
     stop = StoppingCriteria(step_tol=0.0, residual_tol=1e-13, max_iter=10)
-    asis = asis_solve(problem, np.array([b, 1.0]), stop)
-    res.traces["asis"] = asis.x_trace
+    asis = res.traces["asis"] = solve(problem, ASIS(), np.array([b, 1.0]),
+                                      stop)
     res.check("asis converges in exactly 1 iteration",
-              asis.x_trace.n_steps == 1
-              and asis.x_trace.residual_norms[-1] <= 1e-13,
-              f"steps={asis.x_trace.n_steps}, "
-              f"res={asis.x_trace.residual_norms[-1]:.2e}")
+              asis.n_steps == 1 and asis.residual_norms[-1] <= 1e-13,
+              f"steps={asis.n_steps}, res={asis.residual_norms[-1]:.2e}")
     res.metadata = {"b": b, "expected_ratio": expected}
     return res
 
@@ -360,18 +357,11 @@ def run_custom(problem_name: str, methods: List[str], x0,
                          f"problem needs {problem.dimension}")
     for name in methods:
         method = method_from_name(name, x0=x0, lam=lam, dd_variant=dd_variant)
-        if isinstance(method, ASIS):
-            try:
-                asis = asis_solve(problem, x0, stop, dd=method.dd)
-            except (AlreadyAtRootError, SingularOperatorError, DomainError):
-                # a failed setup has no y-trace; solve reads it as a status
-                res.traces[name] = solve(problem, method, x0, stop)
-            else:
-                res.traces[name] = asis.x_trace
-                res.traces[name + "_adimensional"] = asis.y_trace
-        else:
-            res.traces[name] = solve(problem, method, x0, stop)
+        trace = res.traces[name] = solve(problem, method, x0, stop)
+        if trace.status == "form-rejected":
+            raise ValueError(trace.warnings[-1])
+        if trace.adimensional is not None:
+            res.traces[name + "_adimensional"] = trace.adimensional
         res.check(f"{name} terminated cleanly",
-                  res.traces[name].status not in ("domain-failure",),
-                  res.traces[name].status)
+                  trace.status not in ("domain-failure",), trace.status)
     return res

@@ -60,6 +60,8 @@ class IterationTrace:
     n_jac_evals: int = 0
     used_fd_jacobian: bool = False
     warnings: List[str] = field(default_factory=list)
+    # ASIS's y-space trace, counting G's calls; None without an ASIS form
+    adimensional: Optional[IterationTrace] = None
 
     @property
     def x_final(self) -> np.ndarray:
@@ -198,7 +200,8 @@ class HFamily:
 
 @dataclass(frozen=True)
 class ASIS:
-    """Scale-invariant Steffensen; solve runs it through asis_solve."""
+    """Scale-invariant Steffensen; solve runs it through asis_solve and
+    keeps its y-space trace as the trace's adimensional."""
 
     dd: DividedDifference = DividedDifference("componentwise")
 
@@ -406,13 +409,14 @@ def _solve_iterative(p: Problem, method, x0, stop: StoppingCriteria,
 
 def _solve_asis(p: Problem, method: ASIS, x0, stop: StoppingCriteria,
                 trace: IterationTrace) -> str:
-    """ASIS by asis_solve, its x-trace copied.  Until the form is built the
-    trace holds x0 alone, its residual NaN; F(x0) = 0 makes that 0.0, and
-    a rejected form reads form-rejected with its message in warnings."""
+    """ASIS by asis_solve, its x-trace copied and its y-trace kept as
+    trace.adimensional.  Until the form is built the trace holds x0 alone,
+    its residual NaN; F(x0) = 0 makes that 0.0, and a rejected form reads
+    form-rejected with its message in warnings."""
     trace.iterates.append(as_point(x0, p.dimension).copy())
     trace.residual_norms.append(float("nan"))
     try:
-        x_trace = asis_solve(p, x0, stop, method.dd).x_trace
+        res = asis_solve(p, x0, stop, method.dd)
     except AlreadyAtRootError:
         trace.residual_norms[0] = 0.0
         return "converged-by-residual"
@@ -421,6 +425,7 @@ def _solve_asis(p: Problem, method: ASIS, x0, stop: StoppingCriteria,
             raise
         trace.warnings.append(str(exc))
         return "form-rejected"
+    x_trace, trace.adimensional = res.x_trace, res.y_trace
     trace.iterates = x_trace.iterates
     trace.residual_norms = x_trace.residual_norms
     trace.step_norms = x_trace.step_norms
@@ -488,7 +493,8 @@ def asis_solve(problem: Problem, x0, stop: StoppingCriteria,
     evaluate_stack, one stack of F each.  n_evals counts G's points, one
     at a time and stacked, not the form's setup; solve(problem, ASIS(),
     ...) counts both.  Raises what adimensionalize raises, with numpy's
-    warnings off (QUIET).
+    warnings off (QUIET).  Inside the library only solve calls this
+    driver; the benchmark calls it directly.
     """
     with np.errstate(**QUIET):
         form = adimensionalize(problem, x0)

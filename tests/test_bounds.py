@@ -70,6 +70,11 @@ class TestNewtonSequences:
             for d, d_next in zip(seqs.d_seq, seqs.d_seq[1:]):
                 assert newton_rate(a, d) == pytest.approx(d_next, rel=1e-12)
 
+    def test_rate_rejects_a_non_positive_discriminant(self):
+        # (a d)^2 + 1 - 2a <= 0: no real rate (a = 1, d = 0.1)
+        with pytest.raises(ValueError, match="discriminant not positive"):
+            newton_rate(1.0, 0.1)
+
     def test_rate_quadratic_for_small_a(self):
         # d_{n+1}/d_n^2 -> a/2 as a -> 0 (quadratic convergence constant)
         assert newton_rate(0.01, 1.0) == pytest.approx(
@@ -130,6 +135,15 @@ class TestSteffensenSequences:
     def test_truncates_above_half(self):
         seqs = steffensen_sequences(0.7, 50)
         assert seqs.status == "not positive"
+
+    @pytest.mark.parametrize("a", [2.0, 3.0])
+    def test_stops_at_the_b_denominator(self, a):
+        # 1 - (a/2) a_0 c_0 <= 0 for a >= 2: no b_0, only the starts
+        seqs = steffensen_sequences(a, 5)
+        assert seqs.status == "not positive"
+        assert seqs.a_seq.tolist() == seqs.c_seq.tolist() == [1.0]
+        assert seqs.r_seq.tolist() == [0.0]
+        assert len(seqs.b_seq) == len(seqs.d_seq) == 0
 
     def test_rejects_nan_a(self):
         with pytest.raises(ValueError, match="a must be nonnegative"):
@@ -194,6 +208,23 @@ class TestMajorizingRoots:
         with pytest.raises(ValueError):
             majorizing_roots(0.51)
 
+    @pytest.mark.parametrize("a", [1e-8, 1e-13, 1e-17, 1e-300])
+    def test_s_star_is_exact_as_a_vanishes(self, a):
+        # (1 - sqrt(1 - 2a))/a cancelled: 1.000311 at 1e-13, 0.0 at 1e-17
+        s_star = majorizing_roots(a).s_star
+        assert abs(s_star - 2.0 / (1.0 + math.sqrt(1.0 - 2.0 * a))) <= 2 * math.ulp(1.0)
+        # the series 1 + a/2 + a^2/2 + O(a^3), exact to rounding here
+        assert abs(s_star - (1.0 + a / 2.0 + a * a / 2.0)) <= 2 * math.ulp(1.0)
+
+    @pytest.mark.parametrize("a", [1e-8, 1e-13, 1e-17, 1e-300])
+    @pytest.mark.parametrize("system", ["newton", "steffensen"])
+    def test_tail_bounds_stay_nonnegative_as_a_vanishes(self, a, system):
+        # a cancelled s* = 0 gave tails [0, -1, -1, ...]
+        env = error_envelopes(KantorovichData(k2=a, B=1.0, eta=1.0), 4,
+                              system=system)
+        assert env.tail_bounds[0] == env.s_star >= 1.0
+        assert np.all(env.tail_bounds >= 0.0)
+
     def test_rejects_nan_a(self):
         # bounds-report's s* for a NaN K2, B or eta: it exits 2 now
         with pytest.raises(ValueError, match="a must be nonnegative"):
@@ -208,6 +239,43 @@ class TestCubicRoots:
             assert cls.kind == "two-simple"
             assert cls.roots[0] == pytest.approx(roots.s_star, abs=1e-10)
             assert cls.roots[1] == pytest.approx(roots.s_star_star, abs=1e-8)
+
+    def test_linear_limit(self):
+        cls = cubic_positive_roots(0.0, 0.0)
+        assert cls.kind == "two-simple"
+        assert cls.roots == (1.0, math.inf)
+
+    @pytest.mark.parametrize("a, b", [(1e-13, 0.0), (0.0, 1e-25),
+                                      (1e-30, 1e-30)])
+    def test_small_coefficients_have_two_simple_roots(self, a, b):
+        # the doubling bracket's 1e12 cap raised RuntimeError on these
+        cls = cubic_positive_roots(a, b)
+        assert cls.kind == "two-simple"
+        assert cls.roots[0] == pytest.approx(1.0, rel=1e-12)
+        assert cls.roots[1] > 1e12
+
+    def test_classifies_every_small_quadratic(self):
+        for a in [0.0] + [10.0 ** k for k in range(-300, 1)]:
+            cls = cubic_positive_roots(a, 0.0)
+            if a <= 0.5:
+                roots = majorizing_roots(a)
+                assert (cls.kind, cls.roots) == (
+                    "two-simple", (roots.s_star, roots.s_star_star))
+            else:
+                assert cls.kind == "none"
+
+    def test_classifies_every_small_cubic(self):
+        grid = [10.0 ** k for k in range(-200, 1, 8)]
+        for a in grid:
+            for b in grid:
+                cls = cubic_positive_roots(a, b)
+                if cls.kind == "two-simple":
+                    q = AdimensionalPolynomial(a=a, b=b)
+                    r1, r2 = cls.roots
+                    assert 1.0 <= r1 < r2
+                    assert q(r1 * (1.0 - 1e-9)) > 0.0 > q(r1 * (1.0 + 1e-9))
+                else:
+                    assert cls.kind == "none"
 
     def test_two_simple_cubic(self):
         cls = cubic_positive_roots(0.1, 0.1)

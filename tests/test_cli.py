@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from adimsolve import experiments, problems
-from adimsolve.cli import PAPER_RUNS, build_parser, config_to_args, main
+from adimsolve.cli import (PAPER_RUNS, build_parser, config_to_args, main,
+                           run)
 from adimsolve.experiments import (_dominates, method_from_name,
                                    run_bounds_report, run_custom,
                                    run_example1, run_zigzag,
@@ -186,6 +187,38 @@ class TestOutputFiles:
         row2 = lines[3].split(",")
         assert float(row2[5]) == pytest.approx(56.0 / 33.0, rel=1e-14)  # r_2
 
+    def test_bounds_table_above_the_b_denominator(self, tmp_path, capsys):
+        # a = 2 stops the Steffensen system before b_0: one row of starts
+        # and an undefined tail, and the positivity check fails (exit 1)
+        assert main(["bounds-report", "--k2", "2.0", "--B", "1.0",
+                     "--eta", "1.0", "--system", "steffensen", "--override",
+                     "--out", str(tmp_path)]) == 1
+        assert ("[FAIL] bounds_steffensen: sequence system is positive  "
+                "(not positive)") in capsys.readouterr().out
+        lines = (tmp_path / "bounds_steffensen_table.csv").read_text().splitlines()
+        assert lines[1:] == ["0,1.0,,1.0,,0.0,,nan"]
+
+    @pytest.mark.parametrize("system", ["newton", "steffensen"])
+    def test_bounds_table_tails_near_the_root(self, tmp_path, capsys, system):
+        # a = 1e-17: s* cancelled to 0 once, and tail_eta read -1
+        assert main(["bounds-report", "--k2", "1e-17", "--B", "1.0",
+                     "--eta", "1.0", "--system", system, "--n", "4",
+                     "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / f"bounds_{system}_table.csv").read_text().splitlines()
+        tails = [float(r.split(",")[-1]) for r in rows[1:]]
+        assert tails[0] == 1.0 and min(tails) >= 0.0
+
+    def test_custom_asis_json_counts_the_setup(self, tmp_path, capsys):
+        # F runs 15 times and F' once on f1 from 0.0, the form's setup
+        # included; the y-space trace counts G's 13 calls
+        assert main(["custom", "--problem", "f1", "--method", "asis",
+                     "--x0", "0.0", "--out", str(tmp_path),
+                     "--format", "json"]) == 0
+        x = json.loads((tmp_path / "custom_f1_asis.json").read_text())
+        y = json.loads((tmp_path / "custom_f1_asis_adimensional.json").read_text())
+        assert (x["n_evals"], x["n_jac_evals"]) == (15, 1)
+        assert (y["n_evals"], y["n_jac_evals"]) == (13, 0)
+
     def test_no_scientific_prefix_noise(self, tmp_path, capsys):
         # CSV cells must be plain repr floats, not numpy scalar reprs
         assert main(["example1", "--out", str(tmp_path)]) == 0
@@ -325,6 +358,22 @@ class TestExperimentInternals:
         slow = np.array([1.0, 0.5, 0.25, 1e-16])
         assert _dominates(np.array([1.0, 0.4, 0.25, 1.0]), slow)
         assert not _dominates(np.array([1.0, 0.6, 0.1, 0.0]), slow)
+
+    @pytest.mark.parametrize("b", [0.0, -0.5, 1.5, float("nan")])
+    def test_zigzag_descent_rejects_b_outside_the_unit_interval(self, b):
+        with pytest.raises(ValueError, match=r"b must be in \(0, 1\]"):
+            steepest_descent_zigzag(b)
+
+    def test_zigzag_descent_on_a_round_bowl_stops_after_one_step(self):
+        iterates, ratios = steepest_descent_zigzag(1.0)
+        assert iterates.tolist() == [[1.0, 1.0], [0.0, 0.0]]
+        assert ratios.tolist() == [0.0]
+
+    def test_run_rejects_an_unknown_experiment(self):
+        args = build_parser().parse_args(["example1"])
+        args.experiment = "nope"
+        with pytest.raises(ValueError, match="unknown experiment 'nope'"):
+            run(args)
 
     def test_zigzag_ratio_closed_form(self):
         _, ratios = steepest_descent_zigzag(0.3)

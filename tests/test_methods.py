@@ -83,6 +83,23 @@ class TestSingleSteps:
         x1 = h_family_step(quad_problem(), 3.0, lambda L: 1.0 / (1.0 - L / 2.0))
         assert x1[0] == pytest.approx(63.0 / 31.0, rel=1e-15)
 
+    def test_a_vanishing_derivative_is_singular(self):
+        # f = x^2 - 4 at x = 0: L_f and the h-family step are undefined
+        p = quad_problem()
+        with pytest.raises(SingularOperatorError, match="f'\\(x\\) = 0"):
+            logarithmic_convexity(p, 0.0)
+        with pytest.raises(SingularOperatorError, match="f'\\(x\\) = 0"):
+            h_family_step(p, 0.0, halley_h)
+        trace = solve(p, HFamily(h=halley_h), 0.0, STOP)
+        assert trace.status == "singular-operator"
+        assert trace.n_steps == 0
+
+    def test_the_h_family_is_scalar_only(self, example3):
+        with pytest.raises(ValueError, match="logarithmic_convexity is scalar-only"):
+            logarithmic_convexity(example3, [0.5, 0.5])
+        with pytest.raises(ValueError, match="h_family_step is scalar-only"):
+            h_family_step(example3, [0.5, 0.5], halley_h)
+
     def test_halley_is_third_order(self):
         p = quad_problem()
         x = 2.5
@@ -852,7 +869,8 @@ class TestAsisThroughSolve:
         method = ASIS(DividedDifference(dd))
         trace = solve(p, method, x0, STOP)
         n_f, n_jac = len(calls["f"]), len(calls["jac"])
-        ref = asis_solve(p, x0, STOP, method.dd).x_trace
+        res = asis_solve(p, x0, STOP, method.dd)
+        ref = res.x_trace
         assert trace.status == ref.status
         assert len(trace.iterates) == len(ref.iterates)
         assert all(np.array_equal(a, b)
@@ -863,11 +881,37 @@ class TestAsisThroughSolve:
         # solve counts the form's setup too
         assert (trace.n_evals, trace.n_jac_evals) == (n_f, n_jac)
         assert trace.n_evals == ref.n_evals + 2 * p.dimension
+        # the y-space trace is asis_solve's, bit for bit, with G's counts
+        got, want = trace.adimensional, res.y_trace
+        assert len(got.iterates) == len(want.iterates) > 1
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(got.iterates, want.iterates))
+        assert np.array(got.residual_norms).tobytes() == np.array(
+            want.residual_norms).tobytes()
+        assert np.array(got.step_norms).tobytes() == np.array(
+            want.step_norms).tobytes()
+        assert (got.status, got.warnings, got.used_fd_jacobian) == (
+            want.status, want.warnings, want.used_fd_jacobian)
+        assert (got.n_evals, got.n_jac_evals) == (want.n_evals,
+                                                  want.n_jac_evals)
+        assert got.adimensional is None
+
+    def test_the_package_root_runs_asis_through_solve(self):
+        import adimsolve
+        assert not hasattr(adimsolve, "asis_solve")
+        assert not hasattr(adimsolve, "AsisResult")
+
+    def test_other_methods_have_no_adimensional_trace(self, f1):
+        for method in (Newton(), Steffensen(), Bisection(lo=0.0, hi=2.0)):
+            assert solve(f1, method, 0.5, STOP).adimensional is None
 
     def test_f1_counts_every_call(self, f1):
         trace = solve(f1, ASIS(), 0.0, StoppingCriteria())
         assert trace.status == "converged-by-residual"
         assert (trace.n_evals, trace.n_jac_evals) == (15, 1)
+        # the y-space trace counts G's calls: G(y0) and m + 1 per step
+        assert (trace.adimensional.n_evals,
+                trace.adimensional.n_jac_evals) == (13, 0)
 
     def test_a_rejected_form_is_a_status(self, f1):
         # F' 10% off: G'(y0) = -1/1.1
@@ -878,6 +922,7 @@ class TestAsisThroughSolve:
             "adimensional form violates G'(y0) = -I")
         assert trace.iterates[0].tobytes() == np.array([0.0]).tobytes()
         assert (trace.n_evals, trace.n_jac_evals) == (3, 1)
+        assert trace.adimensional is None
 
     def test_the_stop_is_relative_to_the_residual_at_x0(self, f1):
         # residual_tol bounds ||G(y)|| = ||F(x)||/sigma: f1 scaled by 1e6
@@ -902,12 +947,14 @@ class TestAsisThroughSolve:
         assert trace.residual_norms == [0.0]
         assert trace.step_norms == []
         assert trace.n_evals == 1
+        assert trace.adimensional is None
 
     def test_a_singular_derivative_is_a_status(self):
         p = linear_problem(np.diag([1.0, 1e-15]), b=[1.0, 1.0])
         trace = solve(p, ASIS(), [0.0, 0.0], STOP)
         assert trace.status == "singular-operator"
         assert trace.n_steps == 0
+        assert trace.adimensional is None
 
     @pytest.mark.parametrize("p, x0", [
         (Problem(f=lambda x: x, jacobian=lambda x: 1.0), 5e-324),
@@ -915,7 +962,9 @@ class TestAsisThroughSolve:
                        LinearScaling(1e150, 1e158)), [0.0, 0.0]),
         (Problem(f=np.log, jacobian=lambda x: 1.0 / x), 0.0)])
     def test_a_domain_failure_in_the_setup_is_a_status(self, p, x0):
-        assert solve(p, ASIS(), x0, STOP).status == "domain-failure"
+        trace = solve(p, ASIS(), x0, STOP)
+        assert trace.status == "domain-failure"
+        assert trace.adimensional is None
 
 
 INVARIANCE_STOP = StoppingCriteria(step_tol=0.0, residual_tol=1e-10,

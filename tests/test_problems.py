@@ -404,6 +404,10 @@ class TestJacobian:
 
 
 class TestSecondDerivative:
+    def test_is_scalar_only(self, example3):
+        with pytest.raises(ValueError, match="second_derivative is scalar-only"):
+            example3.second_derivative([0.5, 0.5])
+
     def test_finite_differences_of_f_prime_without_d2f(self, f1):
         p = dataclasses.replace(f1, d2f=None)
         for x in (-0.5, 0.0, 1.0, 2.5):
@@ -523,7 +527,29 @@ class TestScaling:
             LinearScaling(c, k)
 
 
+class TestDefinitions:
+    def test_a_dimension_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="dimension must be a positive integer"):
+            Problem(f=lambda x: x, dimension=0)
+
+    def test_an_unknown_norm_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown norm 'taxicab'"):
+            Problem(f=lambda x: x, norm="taxicab")
+
+    def test_zigzag_needs_a_positive_b(self):
+        with pytest.raises(ValueError, match="b must be positive"):
+            builtin_problem("zigzag", b=0.0)
+
+    def test_an_unknown_builtin_problem_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown problem 'nope'; choices: "):
+            builtin_problem("nope")
+
+
 class TestKantorovichData:
+    def test_an_unknown_mode_is_rejected(self, f1):
+        with pytest.raises(ValueError, match="unknown mode 'halley'"):
+            kantorovich_data(f1, 0.0, mode="halley")
+
     @pytest.mark.parametrize("k2", [-1.0, float("nan")])
     def test_a_negative_or_nan_k2_is_rejected(self, k2):
         # a NaN K2 would make every a = K2 B eta NaN
