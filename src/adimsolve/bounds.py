@@ -234,6 +234,13 @@ def bound_sequences(a: float, N: int, system: str) -> BoundSequences:
     raise ValueError(f"unknown system {system!r}")
 
 
+def tail_envelope(s_star: float, r_seq: np.ndarray, eta: float) -> np.ndarray:
+    """(s* - r_n) * eta, the bound on ||x* - x_n||, with s* - r_n clamped
+    at 0: a partial sum r_n that rounds past s* would make it negative.
+    np.maximum keeps a NaN s* (a > 1/2) NaN."""
+    return np.maximum(s_star - r_seq, 0.0) * eta
+
+
 def error_envelopes(data: KantorovichData, N: int,
                     system: str = "newton") -> ErrorEnvelopes:
     a = data.a
@@ -244,6 +251,7 @@ def error_envelopes(data: KantorovichData, N: int,
     seqs = bound_sequences(a, N, system)
     return ErrorEnvelopes(data=data, system=system, d_seq=seqs.d_seq,
                           step_bounds=seqs.d_seq * data.eta,
-                          tail_bounds=(roots.s_star - seqs.r_seq) * data.eta,
+                          tail_bounds=tail_envelope(roots.s_star, seqs.r_seq,
+                                                    data.eta),
                           inverse_bounds=seqs.a_seq * data.B,
                           r_seq=seqs.r_seq, s_star=roots.s_star)

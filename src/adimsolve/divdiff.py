@@ -64,9 +64,9 @@ def scalar_dd(problem: Problem, x: float, y: float,
     if _coincident(x, y):
         return float(problem.jac([x])[0, 0])
     if fx is None:
-        fx = problem.evaluate([x])[0]
+        fx = problem._value(x)
     if fy is None:
-        fy = problem.evaluate([y])[0]
+        fy = problem._value(y)
     return float((fx - fy) / (x - y))
 
 

@@ -331,7 +331,8 @@ def run_bounds_report(k2: float, B: float, eta: float, system: str = "newton",
     seqs = bounds_mod.bound_sequences(a, N, system)
     # the Newton system has no b_n and c_n; a cell past a sequence's end is empty
     columns = [seqs.a_seq, seqs.b_seq, seqs.c_seq, seqs.d_seq, seqs.r_seq,
-               seqs.d_seq * eta, (s_star - seqs.r_seq) * eta]
+               seqs.d_seq * eta,
+               bounds_mod.tail_envelope(s_star, seqs.r_seq, eta)]
     rows = [[n] + [repr(float(col[n])) if n < len(col) else "" for col in columns]
             for n in range(len(seqs.a_seq))]
     res.tables["table"] = (

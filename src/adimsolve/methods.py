@@ -11,11 +11,13 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
+from . import divdiff
 from .adimensional import FORM_REJECTED, AdimensionalForm, adimensionalize
 from .divdiff import DividedDifference
 from .problems import (AlreadyAtRootError, DomainError, Problem,
                        SingularOperatorError, as_point, as_vector,
-                       euclidean_norm, solve_linear)
+                       euclidean_norm, scalar_norm, solve_linear,
+                       solve_scalar)
 
 DIVERGENCE_NORM = 1e12
 DIVERGENCE_RESIDUAL_GROWTH = 1e6
@@ -358,6 +360,8 @@ def solve(problem: Problem, method, x0, stop: StoppingCriteria) -> IterationTrac
                 trace.status = _solve_bisection(p, method, stop, trace)
             elif isinstance(method, ASIS):
                 trace.status = _solve_asis(p, method, x0, stop, trace)
+            elif p.dimension == 1:
+                trace.status = _solve_scalar(p, method, x0, stop, trace)
             else:
                 trace.status = _solve_iterative(p, method, x0, stop, trace)
     except SingularOperatorError:
@@ -405,6 +409,55 @@ def _solve_iterative(p: Problem, method, x0, stop: StoppingCriteria,
                 or res > DIVERGENCE_RESIDUAL_GROWTH * max(min_res, 1e-300)):
             return "diverged"
     return "max-iter"
+
+
+def _solve_scalar(p: Problem, method, x0, stop: StoppingCriteria,
+                  trace: IterationTrace) -> str:
+    """_solve_iterative at m = 1 on numpy scalars: x and F(x) are
+    np.float64 from step to step, F runs through Problem._value, and the
+    norms are scalar_norm's (|s| in the max norm), so every iterate, norm,
+    count, status and exception is the array loop's."""
+    x = as_point(x0, 1)
+    trace.iterates.append(x.copy())
+    trace.residual_norms.append(float("nan"))  # until F(x0) is known
+    norm = scalar_norm if p.norm == "euclidean" else lambda s: abs(float(s))
+    t = x[0]
+    ft = p._value(t)
+    trace.residual_norms[0] = min_res = norm(ft)
+    step = _scalar_step(p, method, x, trace)
+    for _ in range(stop.max_iter):
+        t_new = step(t, ft)
+        ft = p._value(t_new)
+        res = norm(ft)
+        step_norm = norm(t_new - t)
+        trace.iterates.append(np.array([t_new]))
+        trace.residual_norms.append(res)
+        trace.step_norms.append(step_norm)
+        t = t_new
+        min_res = min(min_res, res)
+        if res <= stop.residual_tol:
+            return "converged-by-residual"
+        if step_norm <= stop.step_tol:
+            return "converged-by-step"
+        if (scalar_norm(t) > DIVERGENCE_NORM
+                or res > DIVERGENCE_RESIDUAL_GROWTH * max(min_res, 1e-300)):
+            return "diverged"
+    return "max-iter"
+
+
+def _scalar_step(p: Problem, method, x0: np.ndarray, trace: IterationTrace):
+    """method's step on numpy scalars, (t, F(t)) -> t_new.  Newton and
+    Steffensen with the componentwise operator divide by their slope with
+    solve_scalar, as their array steps do with solve_linear; scalar_dd is
+    looked up on divdiff, as DividedDifference looks it up.  Any other
+    method runs its own step on (1,) arrays."""
+    if type(method) is Newton:
+        return lambda t, ft: t - solve_scalar(p.jac(t)[0, 0], ft)
+    if type(method) is Steffensen and method.dd.variant == "componentwise":
+        return lambda t, ft: t - solve_scalar(
+            divdiff.scalar_dd(p, t + ft, t, None, ft), ft)
+    step = method.start(p, x0, trace)
+    return lambda t, ft: as_point(step(np.array([t]), np.array([ft])), 1)[0]
 
 
 def _solve_asis(p: Problem, method: ASIS, x0, stop: StoppingCriteria,

@@ -120,16 +120,7 @@ class Problem:
     def evaluate(self, x) -> np.ndarray:
         x = as_point(x, self.dimension)
         if self.dimension == 1:
-            # the scalar lane: the same checks in Python, no array reductions
-            t = x[0]
-            if not math.isfinite(t):
-                raise DomainError("non-finite input point")
-            fx = as_vector(self.f(t))
-            if fx.shape != (1,):
-                raise ValueError("evaluator output has wrong dimension")
-            if not math.isfinite(fx[0]):
-                raise DomainError("domain failure: non-finite value of F")
-            return fx
+            return np.array([self._value(x[0])])
         if not all_finite(x):
             raise DomainError("non-finite input point")
         fx = as_vector(self.f(x))
@@ -138,6 +129,25 @@ class Problem:
         if not all_finite(fx):
             raise DomainError("domain failure: non-finite value of F")
         return fx
+
+    def _value(self, t) -> np.float64:
+        """F(t) of a scalar problem as a np.float64, under evaluate's checks
+        in Python: a non-finite t, then the output's shape, then a
+        non-finite value.  F receives t as a np.float64, so a 1/0 inside
+        it is inf (a DomainError here), not a ZeroDivisionError."""
+        if type(t) is not np.float64:
+            t = np.float64(t)
+        if not math.isfinite(t):
+            raise DomainError("non-finite input point")
+        ft = self.f(t)
+        if type(ft) is not np.float64:
+            ft = as_vector(ft)
+            if ft.shape != (1,):
+                raise ValueError("evaluator output has wrong dimension")
+            ft = ft[0]
+        if not math.isfinite(ft):
+            raise DomainError("domain failure: non-finite value of F")
+        return ft
 
     def jac(self, x) -> np.ndarray:
         """F'(x): the one-row _jac_stack, under its checks."""
@@ -241,11 +251,7 @@ def euclidean_norm(v: np.ndarray) -> float:
     Zero, inf and NaN entries give sqrt(v.v): 0, inf and NaN.
     """
     if v.size == 1:
-        # Python floats: s * s overflows to inf without a warning, and
-        # max|v| (||v / max|v||| = 1) is |s|
-        s = v.item()
-        ss = s * s
-        return math.sqrt(ss) if DBL_MIN <= ss <= DBL_MAX else abs(s)
+        return scalar_norm(v.item())
     # vdot is dot's ddot, bit for bit, without dot's overflow warning
     v = v.ravel(order="K")
     ss = np.vdot(v, v)
@@ -256,6 +262,16 @@ def euclidean_norm(v: np.ndarray) -> float:
         return math.sqrt(ss)
     w = v / scale
     return scale * math.sqrt(np.vdot(w, w))
+
+
+def scalar_norm(s) -> float:
+    """euclidean_norm of the one element s: sqrt(s*s) in Python floats,
+    which is what ddot of one element computes, and |s| (max|v|, since
+    ||v / max|v||| = 1) where s*s overflows, without a warning, or
+    underflows."""
+    s = float(s)
+    ss = s * s
+    return math.sqrt(ss) if DBL_MIN <= ss <= DBL_MAX else abs(s)
 
 
 def rcond(lu: np.ndarray, A: np.ndarray) -> float:
@@ -295,21 +311,26 @@ def lu_solve(lu_and_piv, b, trans: int = 0) -> np.ndarray:
     return dgetrs(lu, piv, b, trans=trans)[0]
 
 
-def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense solve through one LU factorization, singular operators
-    rejected as in factor_nonsingular.
+def solve_scalar(h, b) -> float:
+    """x with h x = b for the 1x1 operator h, as a Python float, decided
+    and computed as solve_linear's LU path would.
 
-    A 1x1 operator h whose inverse is normal too (DBL_MIN <= |h| <=
-    1/DBL_MIN) takes a scalar lane with the same decision and bits: there
-    getrf and gecon accept h (the estimate is 1 to a few ulps) and getrs
+    Where h and 1/h are both normal (DBL_MIN <= |h| <= 1/DBL_MIN) getrf
+    and gecon accept h (the estimate is 1 to a few ulps) and getrs
     computes b / h, which Python floats give bit for bit, overflowing to
     inf without a warning as getrs does.  Any other h, zero, subnormal,
-    huge, infinite or NaN, is left to LAPACK."""
+    huge, infinite or NaN, is left to factor_nonsingular and lu_solve."""
+    if LANE_MIN <= abs(h) <= LANE_MAX:
+        return float(b) / float(h)
+    return float(lu_solve(factor_nonsingular(h), as_vector(b))[0])
+
+
+def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dense solve through one LU factorization, singular operators
+    rejected as in factor_nonsingular; a 1x1 system is solve_scalar's."""
     A, b = as_matrix(A), as_vector(b)
     if A.shape == (1, 1) and b.shape == (1,):
-        h = A.item()
-        if LANE_MIN <= abs(h) <= LANE_MAX:
-            return np.array([b.item() / h])
+        return np.array([solve_scalar(A.item(), b.item())])
     return lu_solve(factor_nonsingular(A), b)
 
 

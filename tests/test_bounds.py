@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from adimsolve.adimensional import AdimensionalPolynomial
-from adimsolve.bounds import (HypothesesNotSatisfied, cubic_positive_roots,
-                              error_envelopes, majorizing_roots,
-                              newton_on_adim_poly, newton_rate,
-                              newton_sequences, steffensen_on_adim_poly,
-                              steffensen_sequences)
+from adimsolve.bounds import (HypothesesNotSatisfied, bound_sequences,
+                              cubic_positive_roots, error_envelopes,
+                              majorizing_roots, newton_on_adim_poly,
+                              newton_rate, newton_sequences,
+                              steffensen_on_adim_poly, steffensen_sequences)
+from adimsolve.experiments import run_bounds_report
 from adimsolve.methods import Newton, StoppingCriteria, solve
 from adimsolve.problems import KantorovichData, kantorovich_data
 
@@ -336,6 +337,37 @@ class TestErrorEnvelopes:
             assert np.all(diffs <= 0.0)
             assert np.all(diffs[:4] < 0.0)  # strictly, before saturation
             assert np.all(env.tail_bounds >= -1e-12)
+
+    def test_tails_never_go_negative(self):
+        # r_n rounds one ulp past s* for some a: (s* - r_n) eta read down
+        # to -2.2e-16 in 23 of these 5200 envelopes before the clamp
+        negative = 0
+        for a in np.logspace(-300.0, math.log10(0.5), 2600):
+            s_star = majorizing_roots(a).s_star
+            for system in ("newton", "steffensen"):
+                env = error_envelopes(KantorovichData(k2=a, B=1.0, eta=1.0),
+                                      30, system)
+                unclamped = s_star - bound_sequences(a, 30, system).r_seq
+                negative += bool((unclamped < 0.0).any())
+                assert np.all(env.tail_bounds >= 0.0)
+                kept = unclamped > 0.0
+                assert (env.tail_bounds[kept].tobytes()
+                        == unclamped[kept].tobytes())
+        assert negative > 0
+
+    @pytest.mark.parametrize("system", ["newton", "steffensen"])
+    def test_the_report_tails_are_the_envelopes(self, system):
+        k2, B, eta = 0.0010015, 1.0, 1.0
+        env = error_envelopes(KantorovichData(k2=k2, B=B, eta=eta), 20,
+                              system)
+        rows = run_bounds_report(k2, B, eta, system).tables["table"][1]
+        # the table has a row per a_n; the Newton system's r_seq is longer
+        assert [row[7] for row in rows] == [
+            repr(float(t)) for t in env.tail_bounds[:len(rows)]]
+
+    def test_the_report_tails_stay_nan_above_half(self):
+        rows = run_bounds_report(1.0, 1.0, 0.8, override=True).tables["table"][1]
+        assert {row[7] for row in rows} == {"nan"}
 
     def test_raises_above_half(self):
         data = KantorovichData(k2=1.0, B=1.0, eta=0.6)
