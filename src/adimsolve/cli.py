@@ -97,6 +97,8 @@ def _parser(problem_names: tuple, dd_variants: tuple) -> argparse.ArgumentParser
 def config_to_args(path: Path) -> list:
     """Flatten a JSON config into an argv list."""
     cfg = json.loads(Path(path).read_text())
+    if not isinstance(cfg, dict):
+        raise ValueError("config must be a JSON object")
     if "experiment" not in cfg:
         raise ValueError("config must name an experiment")
     name = cfg.pop("experiment")

@@ -340,7 +340,9 @@ def solve(problem: Problem, method, x0, stop: StoppingCriteria) -> IterationTrac
     """Run an iteration to the stopping criteria; never raises on failure,
     the trace status reports what happened.  numpy's floating-point
     warnings are off inside (QUIET).  n_evals and n_jac_evals count every
-    call of F and F', ASIS's setup included.
+    call of F and F', ASIS's setup included.  Bisection and ASIS aside,
+    every method runs in one loop, _solve_iterative, on numpy scalars at
+    m = 1 and on arrays above.
 
     ASIS applies stop in y-space, as asis_solve does: residual_tol bounds
     ||G(y)|| = ||F(x)||/||F(x0)||, and step_tol and the divergence test
@@ -360,8 +362,6 @@ def solve(problem: Problem, method, x0, stop: StoppingCriteria) -> IterationTrac
                 trace.status = _solve_bisection(p, method, stop, trace)
             elif isinstance(method, ASIS):
                 trace.status = _solve_asis(p, method, x0, stop, trace)
-            elif p.dimension == 1:
-                trace.status = _solve_scalar(p, method, x0, stop, trace)
             else:
                 trace.status = _solve_iterative(p, method, x0, stop, trace)
     except SingularOperatorError:
@@ -384,19 +384,24 @@ def _scalar_only(method) -> Optional[str]:
 
 def _solve_iterative(p: Problem, method, x0, stop: StoppingCriteria,
                      trace: IterationTrace) -> str:
-    """Iterate method's step from x0, recording each accepted iterate."""
-    x = as_point(x0, p.dimension)
-    trace.iterates.append(x.copy())
+    """Iterate method's step from x0, recording each accepted iterate: the
+    one loop of every dimension.  Its lane, chosen from p.dimension alone
+    (_scalar_lane at m = 1, _array_lane above), supplies the first point,
+    F, the norm, the size the divergence test measures, the recorded
+    iterate and the step's start."""
+    lane = _scalar_lane if p.dimension == 1 else _array_lane
+    x, evaluate, norm, size, record, start = lane(p, method, x0, trace)
+    trace.iterates.append(record(x))
     trace.residual_norms.append(float("nan"))  # until F(x0) is known
-    fx = p.evaluate(x)
-    trace.residual_norms[0] = min_res = p.vector_norm(fx)
-    step = method.start(p, x, trace)
+    fx = evaluate(x)
+    trace.residual_norms[0] = min_res = norm(fx)
+    step = start()
     for _ in range(stop.max_iter):
         x_new = step(x, fx)
-        fx = p.evaluate(x_new)
-        res = p.vector_norm(fx)
-        step_norm = p.vector_norm(x_new - x)
-        trace.iterates.append(x_new.copy())
+        fx = evaluate(x_new)
+        res = norm(fx)
+        step_norm = norm(x_new - x)
+        trace.iterates.append(record(x_new))
         trace.residual_norms.append(res)
         trace.step_norms.append(step_norm)
         x = x_new
@@ -405,59 +410,48 @@ def _solve_iterative(p: Problem, method, x0, stop: StoppingCriteria,
             return "converged-by-residual"
         if step_norm <= stop.step_tol:
             return "converged-by-step"
-        if (euclidean_norm(x) > DIVERGENCE_NORM
+        if (size(x) > DIVERGENCE_NORM
                 or res > DIVERGENCE_RESIDUAL_GROWTH * max(min_res, 1e-300)):
             return "diverged"
     return "max-iter"
 
 
-def _solve_scalar(p: Problem, method, x0, stop: StoppingCriteria,
-                  trace: IterationTrace) -> str:
-    """_solve_iterative at m = 1 on numpy scalars: x and F(x) are
-    np.float64 from step to step, F runs through Problem._value, and the
-    norms are scalar_norm's (|s| in the max norm), so every iterate, norm,
-    count, status and exception is the array loop's."""
-    x = as_point(x0, 1)
-    trace.iterates.append(x.copy())
-    trace.residual_norms.append(float("nan"))  # until F(x0) is known
-    norm = scalar_norm if p.norm == "euclidean" else lambda s: abs(float(s))
-    t = x[0]
-    ft = p._value(t)
-    trace.residual_norms[0] = min_res = norm(ft)
-    step = _scalar_step(p, method, x, trace)
-    for _ in range(stop.max_iter):
-        t_new = step(t, ft)
-        ft = p._value(t_new)
-        res = norm(ft)
-        step_norm = norm(t_new - t)
-        trace.iterates.append(np.array([t_new]))
-        trace.residual_norms.append(res)
-        trace.step_norms.append(step_norm)
-        t = t_new
-        min_res = min(min_res, res)
-        if res <= stop.residual_tol:
-            return "converged-by-residual"
-        if step_norm <= stop.step_tol:
-            return "converged-by-step"
-        if (scalar_norm(t) > DIVERGENCE_NORM
-                or res > DIVERGENCE_RESIDUAL_GROWTH * max(min_res, 1e-300)):
-            return "diverged"
-    return "max-iter"
+def _array_lane(p: Problem, method, x0, trace: IterationTrace):
+    """The loop on arrays: F by Problem.evaluate, Problem.vector_norm and
+    euclidean_norm.  A step gets a copy of x, its result is taken as a
+    point and the trace records copies, so a step that updates x in place
+    or returns a list steps as one returning a new array, and neither the
+    caller's x0 nor an iterate the trace holds reaches a step."""
+    x = as_point(x0, p.dimension)
+
+    def start():
+        step = method.start(p, x, trace)
+        return lambda x, fx: as_point(step(x.copy(), fx), p.dimension)
+
+    return x, p.evaluate, p.vector_norm, euclidean_norm, np.ndarray.copy, start
 
 
-def _scalar_step(p: Problem, method, x0: np.ndarray, trace: IterationTrace):
-    """method's step on numpy scalars, (t, F(t)) -> t_new.  Newton and
+def _scalar_lane(p: Problem, method, x0, trace: IterationTrace):
+    """The loop at m = 1 on numpy scalars, recording (1,) arrays: F by
+    Problem._value, scalar_norm (|s| in the max norm), so every iterate,
+    norm, count, status and exception is _array_lane's.  Newton and
     Steffensen with the componentwise operator divide by their slope with
     solve_scalar, as their array steps do with solve_linear; scalar_dd is
     looked up on divdiff, as DividedDifference looks it up.  Any other
     method runs its own step on (1,) arrays."""
-    if type(method) is Newton:
-        return lambda t, ft: t - solve_scalar(p.jac(t)[0, 0], ft)
-    if type(method) is Steffensen and method.dd.variant == "componentwise":
-        return lambda t, ft: t - solve_scalar(
-            divdiff.scalar_dd(p, t + ft, t, None, ft), ft)
-    step = method.start(p, x0, trace)
-    return lambda t, ft: as_point(step(np.array([t]), np.array([ft])), 1)[0]
+    x = as_point(x0, 1)
+
+    def start():
+        if type(method) is Newton:
+            return lambda t, ft: t - solve_scalar(p.jac(t)[0, 0], ft)
+        if type(method) is Steffensen and method.dd.variant == "componentwise":
+            return lambda t, ft: t - solve_scalar(
+                divdiff.scalar_dd(p, t + ft, t, None, ft), ft)
+        step = method.start(p, x, trace)
+        return lambda t, ft: as_point(step(np.array([t]), np.array([ft])), 1)[0]
+
+    norm = scalar_norm if p.norm == "euclidean" else lambda s: abs(float(s))
+    return x[0], p._value, norm, scalar_norm, lambda t: np.array([t]), start
 
 
 def _solve_asis(p: Problem, method: ASIS, x0, stop: StoppingCriteria,
@@ -490,8 +484,8 @@ def _solve_bisection(p: Problem, method: Bisection, stop: StoppingCriteria,
                      trace: IterationTrace) -> str:
     """Scalar interval bisection recording midpoints; ties toward lo."""
     lo, hi = float(method.lo), float(method.hi)
-    flo = p.evaluate([lo])[0]
-    fhi = p.evaluate([hi])[0]
+    flo = p._value(lo)
+    fhi = p._value(hi)
     if flo == 0.0:
         hi = lo
     elif fhi == 0.0:
@@ -500,7 +494,7 @@ def _solve_bisection(p: Problem, method: Bisection, stop: StoppingCriteria,
         trace.warnings.append("bracket does not change sign")
         return "domain-failure"
     mid = 0.5 * (lo + hi)
-    fmid = p.evaluate([mid])[0]
+    fmid = p._value(mid)
     trace.iterates.append(np.array([mid]))
     trace.residual_norms.append(abs(fmid))
     for _ in range(stop.max_iter):
@@ -509,7 +503,7 @@ def _solve_bisection(p: Problem, method: Bisection, stop: StoppingCriteria,
         else:
             lo, flo = mid, fmid
         new_mid = 0.5 * (lo + hi)
-        fmid = p.evaluate([new_mid])[0]
+        fmid = p._value(new_mid)
         step = abs(new_mid - mid)
         mid = new_mid
         trace.iterates.append(np.array([mid]))

@@ -342,6 +342,14 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"b": 0.1}))
         assert main(["--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("value", [5, "experiment", ["example1"]])
+    def test_config_not_an_object(self, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(value))
+        assert main(["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config must be a JSON object\n")
+
 
 class TestExperimentInternals:
     def test_method_registry(self):

@@ -227,6 +227,33 @@ class TestSolveDriver:
         trace = solve(p, Newton(), [0.0, 0.0], StoppingCriteria())
         assert trace.status == "domain-failure"
 
+    def test_a_step_that_updates_x_in_place(self, example3):
+        # the loop hands a step a copy of x: an in-place update reads as
+        # the same step returning a new array, and x0 is left as it was
+        class Duck:
+            def __init__(self, step):
+                self.start = lambda problem, x0, trace: step
+
+        def in_place(x, fx):
+            x -= 0.1 * fx
+            return x
+
+        x0 = np.array([0.5, 0.5])
+        got = solve(example3, Duck(in_place), x0, STOP)
+        ref = solve(example3, Duck(lambda x, fx: x - 0.1 * fx), x0, STOP)
+        assert x0.tolist() == [0.5, 0.5]
+        assert got.n_steps == ref.n_steps > 1
+        assert got.status == ref.status
+        assert [x.tobytes() for x in got.iterates] == [x.tobytes()
+                                                       for x in ref.iterates]
+        assert got.residual_norms == ref.residual_norms
+        assert got.step_norms == ref.step_norms
+        assert 0.0 not in got.step_norms
+        listed = solve(example3, Duck(lambda x, fx: list(x - 0.1 * fx)), x0,
+                       STOP)
+        assert {x.shape for x in listed.iterates} == {(2,)}
+        assert listed.step_norms == ref.step_norms
+
     def test_h_family_needs_its_h(self):
         # without h a run would fail inside the loop, calling None
         with pytest.raises(TypeError):

@@ -1,10 +1,11 @@
-"""solve's scalar loop against the array loop it replaces at m = 1.
+"""solve's one loop at m = 1: its scalar lane against its array lane.
 
-At m = 1 solve runs methods._solve_scalar on numpy scalars; the reference
-is the same solve with methods._solve_iterative, the (1,)-array loop that
-serves m >= 2, in its place.  Both see the same counting copy of the
-problem, so every field of the traces, ASIS's y-trace included, and every
-exception must agree bit for bit.
+At m = 1 methods._solve_iterative runs on numpy scalars through
+methods._scalar_lane; the reference is the same solve with
+methods._array_lane, the (1,)-array lane that serves m >= 2, in its place.
+Both see the same counting copy of the problem, so every field of the
+traces, ASIS's y-trace included, and every exception must agree bit for
+bit.
 """
 import math
 import sys
@@ -70,7 +71,7 @@ METHODS = [
 def array_loop(problem, method, x0, stop):
     """solve with the array loop at m = 1, ASIS's y-space run included."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(methods, "_solve_scalar", methods._solve_iterative)
+        mp.setattr(methods, "_scalar_lane", methods._array_lane)
         return outcome(problem, method, x0, stop)
 
 
