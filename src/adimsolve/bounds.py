@@ -170,16 +170,15 @@ class CubicRootClassification:
     roots: tuple               # positive roots in increasing order
 
 
-def cubic_positive_roots(a: float, b: float,
-                         tol: float = 1e-11) -> CubicRootClassification:
+def cubic_positive_roots(a: float, b: float) -> CubicRootClassification:
     """Classify the positive roots of q(s) = (b/6)s^3 + (a/2)s^2 - s + 1.
 
     q(0) = 1 and q'(0) = -1; for a, b >= 0 the derivative has exactly one
     positive zero s_c = 2/(a + sqrt(a^2 + 2b)) (the minimum of q), so the
-    sign of the minimum decides: negative -> two simple positive roots,
-    zero -> one double, positive -> none.  The quadratic (b = 0) takes
-    majorizing_roots' closed form; the cubic's roots are located by
-    safeguarded bisection.
+    sign of the minimum decides: below -1e-11 -> two simple positive roots,
+    within 1e-11 of zero -> one double, above -> none.  The quadratic
+    (b = 0) takes majorizing_roots' closed form; the cubic's roots are
+    located by safeguarded bisection.
     """
     if not (a >= 0.0 and b >= 0.0):
         raise ValueError("a and b must be nonnegative")
@@ -190,9 +189,9 @@ def cubic_positive_roots(a: float, b: float,
         q = AdimensionalPolynomial(a=a, b=b)
         s_crit = 2.0 / (a + math.hypot(a, math.sqrt(2.0 * b)))
         q_min = q(s_crit)
-    if q_min > tol:
+    if q_min > 1e-11:
         return CubicRootClassification("none", ())
-    if q_min > -tol:
+    if q_min > -1e-11:
         return CubicRootClassification("double", (s_crit, s_crit))
     if b == 0.0:
         roots = majorizing_roots(a)

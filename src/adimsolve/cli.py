@@ -1,8 +1,9 @@
 """Command-line experiment runner.
 
-Subcommands: example1, example2, example3, zigzag, bounds-report, custom.
-A JSON config file (--config) may replace the flags.  Exit code is 0 iff
-every per-experiment assertion passed.
+One subcommand per entry of RUNNERS.  A JSON config file (--config) may
+replace the flags.  Exit code is 0 iff every per-experiment assertion
+passed: 1 on a failed assertion or violated hypotheses, 2 on a bad
+argument, config file or output directory.
 """
 from __future__ import annotations
 
@@ -32,6 +33,33 @@ PAPER_RUNS = (
 )
 
 
+def _run_custom(args) -> experiments.ExperimentResult:
+    stop = StoppingCriteria(step_tol=args.tol_step, residual_tol=args.tol_res,
+                            max_iter=args.max_iter)
+    return experiments.run_custom(args.problem, args.method or ["newton"],
+                                  args.x0, stop, lam=args.lam, b=args.b,
+                                  dd_variant=args.dd)
+
+
+# subcommand -> (help, runner of the parsed arguments), read by the parser,
+# config_to_args and run; a runner looks experiments.run_* up when it runs
+RUNNERS = {
+    "example1": ("scalar equation, three methods",
+                 lambda args: experiments.run_example1()),
+    "example2": ("rescaled scalar equation",
+                 lambda args: experiments.run_example2()),
+    "example3": ("2-variable system",
+                 lambda args: experiments.run_example3()),
+    "zigzag": ("steepest-descent pathology",
+               lambda args: experiments.run_zigzag(args.b)),
+    "bounds-report": ("a-priori bound tables",
+                      lambda args: experiments.run_bounds_report(
+                          args.k2, args.B, args.eta, system=args.system,
+                          N=args.n, override=args.override)),
+    "custom": ("named problem, chosen methods", _run_custom),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser for the current problem table.
 
@@ -51,21 +79,12 @@ def _parser(problem_names: tuple, dd_variants: tuple) -> argparse.ArgumentParser
     parser.add_argument("--config", type=Path,
                         help="JSON config file; overrides the subcommand")
     sub = parser.add_subparsers(dest="experiment")
+    subs = {name: sub.add_parser(name, help=help_text)
+            for name, (help_text, _) in RUNNERS.items()}
 
-    def common(p):
-        p.add_argument("--out", type=Path, default=None,
-                       help="directory for trace/table files")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    subs["zigzag"].add_argument("--b", type=float, default=0.1)
 
-    common(sub.add_parser("example1", help="scalar equation, three methods"))
-    common(sub.add_parser("example2", help="rescaled scalar equation"))
-    common(sub.add_parser("example3", help="2-variable system"))
-
-    p = sub.add_parser("zigzag", help="steepest-descent pathology")
-    p.add_argument("--b", type=float, default=0.1)
-    common(p)
-
-    p = sub.add_parser("bounds-report", help="a-priori bound tables")
+    p = subs["bounds-report"]
     p.add_argument("--k2", type=float, required=True)
     p.add_argument("--B", type=float, required=True)
     p.add_argument("--eta", type=float, required=True)
@@ -74,14 +93,13 @@ def _parser(problem_names: tuple, dd_variants: tuple) -> argparse.ArgumentParser
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--override", action="store_true",
                    help="emit the table even when a > 1/2")
-    common(p)
 
-    p = sub.add_parser("custom", help="named problem, chosen methods")
+    p = subs["custom"]
     p.add_argument("--problem", required=True,
                    choices=problem_names)
     p.add_argument("--method", action="append", default=None,
-                   help="repeatable; e.g. newton, steffensen, asis, secant, "
-                        "halley, damped-steffensen")
+                   help="repeatable; one of "
+                        + ", ".join(experiments.METHODS))
     # the kept parser hands the same default object to every namespace
     p.add_argument("--x0", type=float, nargs="+", default=(0.0,))
     p.add_argument("--tol-step", type=float, default=0.0)
@@ -90,8 +108,18 @@ def _parser(problem_names: tuple, dd_variants: tuple) -> argparse.ArgumentParser
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--b", type=float, default=0.1)
     p.add_argument("--dd", choices=dd_variants, default="componentwise")
-    common(p)
+
+    for p in subs.values():
+        p.add_argument("--out", type=Path, default=None,
+                       help="directory for trace/table files")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
+
+
+def _runner(name: str):
+    if name not in RUNNERS:
+        raise ValueError(f"unknown experiment {name!r}")
+    return RUNNERS[name][1]
 
 
 def config_to_args(path: Path) -> list:
@@ -102,8 +130,7 @@ def config_to_args(path: Path) -> list:
     if "experiment" not in cfg:
         raise ValueError("config must name an experiment")
     name = cfg.pop("experiment")
-    if name not in experiments.EXPERIMENTS:
-        raise ValueError(f"unknown experiment {name!r}")
+    _runner(name)
     argv = [name]
     for key, value in cfg.items():
         flag = "--" + key.replace("_", "-")
@@ -123,53 +150,30 @@ def config_to_args(path: Path) -> list:
 
 
 def run(args) -> experiments.ExperimentResult:
-    name = args.experiment
-    if name == "example1":
-        return experiments.run_example1()
-    if name == "example2":
-        return experiments.run_example2()
-    if name == "example3":
-        return experiments.run_example3()
-    if name == "zigzag":
-        return experiments.run_zigzag(args.b)
-    if name == "bounds-report":
-        return experiments.run_bounds_report(args.k2, args.B, args.eta,
-                                             system=args.system, N=args.n,
-                                             override=args.override)
-    if name == "custom":
-        stop = StoppingCriteria(step_tol=args.tol_step,
-                                residual_tol=args.tol_res,
-                                max_iter=args.max_iter)
-        return experiments.run_custom(args.problem,
-                                      args.method or ["newton"],
-                                      args.x0, stop, lam=args.lam, b=args.b,
-                                      dd_variant=args.dd)
-    raise ValueError(f"unknown experiment {name!r}")
+    return _runner(args.experiment)(args)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config is not None:
-        try:
-            args = parser.parse_args(config_to_args(args.config))
-        except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if args.experiment is None:
-        parser.print_help()
-        return 2
     try:
+        if args.config is not None:
+            args = parser.parse_args(config_to_args(args.config))
+        if args.experiment is None:
+            parser.print_help()
+            return 2
         result = run(args)
+        written = ([] if args.out is None
+                   else result.write(args.out, args.format))
     except HypothesesNotSatisfied as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
+        # a bad argument, config file or output directory
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out is not None:
-        for path in result.write(args.out, args.format):
-            print(f"wrote {path}")
+    for path in written:
+        print(f"wrote {path}")
     for a in result.assertions:
         status = "PASS" if a.passed else "FAIL"
         detail = f"  ({a.detail})" if a.detail else ""

@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 
 from adimsolve import experiments, problems
-from adimsolve.cli import (PAPER_RUNS, build_parser, config_to_args, main,
-                           run)
+from adimsolve.cli import (PAPER_RUNS, RUNNERS, build_parser, config_to_args,
+                           main, run)
 from adimsolve.experiments import (_dominates, method_from_name,
                                    run_bounds_report, run_custom,
                                    run_example1, run_zigzag,
@@ -350,6 +351,22 @@ class TestConfigFile:
         assert capsys.readouterr().err == (
             "error: config must be a JSON object\n")
 
+    def test_config_a_directory_exits_2(self, tmp_path, capsys):
+        # reading it raised IsADirectoryError past main's handlers
+        assert main(["--config", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+    def test_out_an_existing_file_exits_2(self, tmp_path, capsys):
+        # the output directory's mkdir raised FileExistsError unhandled
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        assert main(["example1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(out) in captured.err
+        assert captured.out == ""
+        assert out.read_text() == "kept\n"
+
 
 class TestExperimentInternals:
     def test_method_registry(self):
@@ -411,6 +428,23 @@ class TestExperimentInternals:
 
 
 class TestParser:
+    def test_subcommands_are_the_runner_table(self):
+        sub, = [a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == list(RUNNERS)
+
+    def test_method_help_names_every_method(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "1000")
+        with pytest.raises(SystemExit) as exc:
+            main(["custom", "--help"])
+        assert exc.value.code == 0
+        help_line, = [ln for ln in capsys.readouterr().out.splitlines()
+                      if ln.lstrip().startswith("--method METHOD")]
+        assert help_line.split("repeatable; one of ")[1].split(", ") == list(
+            experiments.METHODS)
+        for name in experiments.METHODS:
+            method_from_name(name)
+
     def test_defaults(self):
         args = build_parser().parse_args(["custom", "--problem", "f1"])
         assert args.method is None
