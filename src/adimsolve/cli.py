@@ -134,6 +134,8 @@ def config_to_args(path: Path) -> list:
     argv = [name]
     for key, value in cfg.items():
         flag = "--" + key.replace("_", "-")
+        if value is None:
+            continue    # null, like false, leaves the flag at its default
         if isinstance(value, bool):
             if value:
                 argv.append(flag)

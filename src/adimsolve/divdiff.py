@@ -11,7 +11,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .problems import Problem, as_point, as_vector
+from .problems import Problem, as_matrix, as_point, as_vector
 
 COINCIDENT_TOL = 1e-14
 DEFAULT_QUAD_NODES = 8
@@ -158,7 +158,7 @@ def verify_interpolatory(H: np.ndarray, problem: Problem, x, y) -> float:
     m = problem.dimension
     x = as_point(x, m)
     y = as_point(y, m)
-    H = np.atleast_2d(np.asarray(H, dtype=float))
+    H = as_matrix(H)
     dF = problem.evaluate(x) - problem.evaluate(y)
     r = problem.vector_norm(H @ (x - y) - dF)
     return float(r / max(1.0, problem.vector_norm(dF)))

@@ -21,7 +21,7 @@ from .divdiff import DividedDifference
 from .methods import (ASIS, DampedFirstOrder, DampedSteffensen, FixedSlope,
                       HFamily, IterationTrace, Newton, Secant, Steffensen,
                       StoppingCriteria, asis_solve, csv_text, solve)
-from .problems import KantorovichData, builtin_problem
+from .problems import KantorovichData, as_vector, builtin_problem
 
 
 def halley_h(L: float) -> float:
@@ -344,7 +344,7 @@ def run_custom(problem_name: str, methods: List[str], x0,
     kwargs = {"b": b} if problem_name == "zigzag" else {}
     problem = builtin_problem(problem_name, **kwargs)
     res = ExperimentResult(name=f"custom_{problem_name}")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = as_vector(x0)
     if len(x0) != problem.dimension:
         raise ValueError(f"x0 has dimension {len(x0)}, "
                          f"problem needs {problem.dimension}")

@@ -1,6 +1,6 @@
 """Iteration engines: bisection, fixed-slope, damped first order, Newton,
-secant, Steffensen (plain and damped), the adimensional h-family, and the
-scale-invariant Steffensen driver run on the adimensional form.
+secant, Steffensen (plain and damped), the adimensional h-family, and
+scale-invariant Steffensen, Steffensen run on the adimensional form.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from . import divdiff
-from .adimensional import FORM_REJECTED, AdimensionalForm, adimensionalize
+from .adimensional import FORM_REJECTED, adimensionalize
 from .divdiff import DividedDifference
 from .problems import (AlreadyAtRootError, DomainError, Problem,
                        SingularOperatorError, as_point, as_vector,
@@ -21,9 +21,9 @@ from .problems import (AlreadyAtRootError, DomainError, Problem,
 
 DIVERGENCE_NORM = 1e12
 DIVERGENCE_RESIDUAL_GROWTH = 1e6
-# numpy's floating-point warnings, off inside solve and asis_solve: an
-# overflow or a division by zero leaves a non-finite value, which the
-# finiteness checks report whatever the warning filter
+# numpy's floating-point warnings, off inside solve: an overflow or a
+# division by zero leaves a non-finite value, which the finiteness checks
+# report whatever the warning filter
 QUIET = dict(over="ignore", divide="ignore", invalid="ignore")
 
 
@@ -81,7 +81,7 @@ class IterationTrace:
         difference."""
         if not self.iterates:
             return np.array([])
-        root = np.atleast_1d(np.asarray(root, dtype=float))
+        root = as_vector(root)
         return np.array([euclidean_norm(d)
                          for d in np.array(self.iterates) - root])
 
@@ -202,8 +202,9 @@ class HFamily:
 
 @dataclass(frozen=True)
 class ASIS:
-    """Scale-invariant Steffensen; solve runs it through asis_solve and
-    keeps its y-space trace as the trace's adimensional."""
+    """Scale-invariant Steffensen: solve runs Steffensen on the
+    adimensional form in its one loop (_adimensional_lane) and keeps the
+    y-space trace as the trace's adimensional."""
 
     dd: DividedDifference = DividedDifference("componentwise")
 
@@ -309,20 +310,21 @@ def h_family_step(problem: Problem, x, h: Callable, fx=None) -> np.ndarray:
 
 # -- solve driver ------------------------------------------------------------
 
-def _counting_copy(problem: Problem, counts: dict) -> Problem:
-    """problem with every call of F and F' counted; a stack that F
-    evaluates itself (its evaluate_stack) counts one call per row."""
+def _counting_copy(problem: Problem, trace: IterationTrace) -> Problem:
+    """problem with every call of F and F' counted into trace's n_evals and
+    n_jac_evals; a stack that F evaluates itself (its evaluate_stack)
+    counts one call per row."""
     base_f = problem.f
     base_jac = problem.jacobian
 
     def f(x):
-        counts["f"] += 1
+        trace.n_evals += 1
         return base_f(x)
 
     base_stack = getattr(base_f, "evaluate_stack", None)
     if base_stack is not None:
         def evaluate_stack(Z, FZ):
-            counts["f"] += len(Z)
+            trace.n_evals += len(Z)
             base_stack(Z, FZ)
 
         f.evaluate_stack = evaluate_stack
@@ -330,7 +332,7 @@ def _counting_copy(problem: Problem, counts: dict) -> Problem:
     jac = None
     if base_jac is not None:
         def jac(x):
-            counts["jac"] += 1
+            trace.n_jac_evals += 1
             return base_jac(x)
 
     return dataclasses.replace(problem, f=f, jacobian=jac)
@@ -340,18 +342,19 @@ def solve(problem: Problem, method, x0, stop: StoppingCriteria) -> IterationTrac
     """Run an iteration to the stopping criteria; never raises on failure,
     the trace status reports what happened.  numpy's floating-point
     warnings are off inside (QUIET).  n_evals and n_jac_evals count every
-    call of F and F', ASIS's setup included.  Bisection and ASIS aside,
-    every method runs in one loop, _solve_iterative, on numpy scalars at
-    m = 1 and on arrays above.
+    call of F and F', ASIS's setup included.  Bisection aside, every
+    method runs in one loop, _solve_iterative: on numpy scalars at m = 1,
+    on arrays above, and for ASIS on the adimensional form.
 
-    ASIS applies stop in y-space, as asis_solve does: residual_tol bounds
+    ASIS applies stop in y-space: residual_tol bounds
     ||G(y)|| = ||F(x)||/||F(x0)||, and step_tol and the divergence test
     measure y.  Its stop is thus relative, and a converged-by-residual
     ASIS trace may end at ||F(x)|| up to ||F(x0)||*residual_tol, where
-    every other method bounds ||F(x)|| by residual_tol itself."""
-    counts = {"f": 0, "jac": 0}
-    p = _counting_copy(problem, counts)
+    every other method bounds ||F(x)|| by residual_tol itself.  F(x0) = 0
+    is converged-by-residual at x0 with residual 0.0, and a rejected form
+    is form-rejected with its message in warnings."""
     trace = IterationTrace(used_fd_jacobian=not problem.has_analytic_jacobian())
+    p = _counting_copy(problem, trace)
     scalar_only = _scalar_only(method)
     try:
         with np.errstate(**QUIET):
@@ -360,16 +363,22 @@ def solve(problem: Problem, method, x0, stop: StoppingCriteria) -> IterationTrac
                 trace.status = "domain-failure"
             elif isinstance(method, Bisection):
                 trace.status = _solve_bisection(p, method, stop, trace)
-            elif isinstance(method, ASIS):
-                trace.status = _solve_asis(p, method, x0, stop, trace)
             else:
                 trace.status = _solve_iterative(p, method, x0, stop, trace)
+    except AlreadyAtRootError:
+        trace.residual_norms[0] = 0.0
+        trace.status = "converged-by-residual"
     except SingularOperatorError:
         trace.status = "singular-operator"
     except DomainError:
         trace.status = "domain-failure"
-    trace.n_evals = counts["f"]
-    trace.n_jac_evals = counts["jac"]
+    except ValueError as exc:
+        if not str(exc).startswith(FORM_REJECTED):
+            raise
+        trace.warnings.append(str(exc))
+        trace.status = "form-rejected"
+    if trace.adimensional is not None:
+        trace.adimensional.status = trace.status
     return trace
 
 
@@ -385,25 +394,28 @@ def _scalar_only(method) -> Optional[str]:
 def _solve_iterative(p: Problem, method, x0, stop: StoppingCriteria,
                      trace: IterationTrace) -> str:
     """Iterate method's step from x0, recording each accepted iterate: the
-    one loop of every dimension.  Its lane, chosen from p.dimension alone
+    one loop of every method but bisection, x0 recorded first.  Its lane,
+    _adimensional_lane for ASIS and otherwise chosen from p.dimension alone
     (_scalar_lane at m = 1, _array_lane above), supplies the first point,
     F, the norm, the size the divergence test measures, the recorded
-    iterate and the step's start."""
-    lane = _scalar_lane if p.dimension == 1 else _array_lane
-    x, evaluate, norm, size, record, start = lane(p, method, x0, trace)
-    trace.iterates.append(record(x))
+    iterate, the step's start and the trace the loop writes (trace, or
+    ASIS's y-space trace)."""
+    trace.iterates.append(as_point(x0, p.dimension).copy())
     trace.residual_norms.append(float("nan"))  # until F(x0) is known
+    lane = (_adimensional_lane if isinstance(method, ASIS)
+            else _scalar_lane if p.dimension == 1 else _array_lane)
+    x, evaluate, norm, size, record, start, out = lane(p, method, x0, trace)
     fx = evaluate(x)
-    trace.residual_norms[0] = min_res = norm(fx)
+    out.residual_norms[0] = min_res = norm(fx)
     step = start()
     for _ in range(stop.max_iter):
         x_new = step(x, fx)
         fx = evaluate(x_new)
         res = norm(fx)
         step_norm = norm(x_new - x)
-        trace.iterates.append(record(x_new))
-        trace.residual_norms.append(res)
-        trace.step_norms.append(step_norm)
+        out.iterates.append(record(x_new))
+        out.residual_norms.append(res)
+        out.step_norms.append(step_norm)
         x = x_new
         min_res = min(min_res, res)
         if res <= stop.residual_tol:
@@ -428,7 +440,8 @@ def _array_lane(p: Problem, method, x0, trace: IterationTrace):
         step = method.start(p, x, trace)
         return lambda x, fx: as_point(step(x.copy(), fx), p.dimension)
 
-    return x, p.evaluate, p.vector_norm, euclidean_norm, np.ndarray.copy, start
+    return (x, p.evaluate, p.vector_norm, euclidean_norm, np.ndarray.copy,
+            start, trace)
 
 
 def _scalar_lane(p: Problem, method, x0, trace: IterationTrace):
@@ -451,33 +464,51 @@ def _scalar_lane(p: Problem, method, x0, trace: IterationTrace):
         return lambda t, ft: as_point(step(np.array([t]), np.array([ft])), 1)[0]
 
     norm = scalar_norm if p.norm == "euclidean" else lambda s: abs(float(s))
-    return x[0], p._value, norm, scalar_norm, lambda t: np.array([t]), start
+    return (x[0], p._value, norm, scalar_norm, lambda t: np.array([t]),
+            start, trace)
 
 
-def _solve_asis(p: Problem, method: ASIS, x0, stop: StoppingCriteria,
-                trace: IterationTrace) -> str:
-    """ASIS by asis_solve, its x-trace copied and its y-trace kept as
-    trace.adimensional.  Until the form is built the trace holds x0 alone,
-    its residual NaN; F(x0) = 0 makes that 0.0, and a rejected form reads
-    form-rejected with its message in warnings."""
-    trace.iterates.append(as_point(x0, p.dimension).copy())
-    trace.residual_norms.append(float("nan"))
-    try:
-        res = asis_solve(p, x0, stop, method.dd)
-    except AlreadyAtRootError:
-        trace.residual_norms[0] = 0.0
-        return "converged-by-residual"
-    except ValueError as exc:
-        if not str(exc).startswith(FORM_REJECTED):
-            raise
-        trace.warnings.append(str(exc))
-        return "form-rejected"
-    x_trace, trace.adimensional = res.x_trace, res.y_trace
-    trace.iterates = x_trace.iterates
-    trace.residual_norms = x_trace.residual_norms
-    trace.step_norms = x_trace.step_norms
-    trace.warnings += x_trace.warnings
-    return x_trace.status
+def _adimensional_lane(p: Problem, method: ASIS, x0, trace: IterationTrace):
+    """ASIS: Steffensen on G(y) = F(x0 + T^-1 y)/sigma in G's own lane
+    (looked up here, so a lane swapped on this module serves G too),
+    writing trace.adimensional, which counts G's calls.  The x and F(x)
+    behind each G evaluated one at a time are kept under y: G(y0) takes
+    the form's F(x0), and each recorded y appends its x, ||F(x)|| and
+    x-step to trace, so no point is mapped or evaluated twice.  G's stacks
+    are the form's evaluate_stack, one stack of F each."""
+    form = adimensionalize(p, x0)
+    y0 = form.y0
+    x_c = form.to_original(y0)
+    x_and_f = {y0.tobytes(): (x_c, form.f_c)}
+    trace.iterates[0], trace.residual_norms[0] = x_c, p.vector_norm(form.f_c)
+
+    def g_eval(y):
+        y = as_vector(y)
+        key = y.tobytes()
+        if key not in x_and_f:
+            x = form.to_original(y)
+            x_and_f[key] = x, p.evaluate(x)
+        return x_and_f[key][1] / form.sigma
+
+    # a stack of G's points is the form's: mapped and evaluated together,
+    # none of them kept
+    g_eval.evaluate_stack = form.evaluate_stack
+    y_trace = trace.adimensional = IterationTrace(
+        iterates=[y0.copy()], residual_norms=[float("nan")],
+        used_fd_jacobian=trace.used_fd_jacobian)
+    g = _counting_copy(dataclasses.replace(form.g, f=g_eval), y_trace)
+    lane = _scalar_lane if g.dimension == 1 else _array_lane
+    y, evaluate, norm, size, record_y, start, _ = lane(
+        g, Steffensen(method.dd), y0, y_trace)
+
+    def record(y):
+        x, fx = x_and_f[y.tobytes()]
+        trace.step_norms.append(p.vector_norm(x - trace.iterates[-1]))
+        trace.iterates.append(x)
+        trace.residual_norms.append(p.vector_norm(fx))
+        return record_y(y)
+
+    return y, evaluate, norm, size, record, start, y_trace
 
 
 def _solve_bisection(p: Problem, method: Bisection, stop: StoppingCriteria,
@@ -520,57 +551,24 @@ def _solve_bisection(p: Problem, method: Bisection, stop: StoppingCriteria,
 
 @dataclass
 class AsisResult:
-    """ASIS run: the adimensional trace, its back-transform, and the form."""
+    """An ASIS run: its x-space trace and its adimensional (y-space) one,
+    None where no form was built."""
 
     x_trace: IterationTrace
-    y_trace: IterationTrace
-    form: AdimensionalForm
+    y_trace: Optional[IterationTrace]
 
 
 def asis_solve(problem: Problem, x0, stop: StoppingCriteria,
                dd: DividedDifference = DividedDifference("componentwise")
                ) -> AsisResult:
-    """Steffensen on the adimensional form, iterates mapped back to x-space.
-
-    G(y) = F(x0 + T^-1 y)/sigma.  The point x and value F(x) behind each G
-    evaluated one at a time, y0 and the iterates, are kept under y: G(y0) =
-    G(0) takes the form's F(x0), and the back-transform reads each
-    iterate's x and F(x) from there, so no point is mapped or evaluated
-    twice.  The stacks of a divided difference go to the form's
-    evaluate_stack, one stack of F each.  n_evals counts G's points, one
-    at a time and stacked, not the form's setup; solve(problem, ASIS(),
-    ...) counts both.  Raises what adimensionalize raises, with numpy's
-    warnings off (QUIET).  Inside the library only solve calls this
-    driver; the benchmark calls it directly.
-    """
-    with np.errstate(**QUIET):
-        form = adimensionalize(problem, x0)
-        x_and_f = {form.y0.tobytes(): (form.to_original(form.y0), form.f_c)}
-
-        def g_eval(y):
-            y = as_vector(y)
-            key = y.tobytes()
-            if key not in x_and_f:
-                x = form.to_original(y)
-                x_and_f[key] = x, problem.evaluate(x)
-            return x_and_f[key][1] / form.sigma
-
-        # a stack of G's points is the form's: mapped and evaluated
-        # together, none of them kept
-        g_eval.evaluate_stack = form.evaluate_stack
-        g = dataclasses.replace(form.g, f=g_eval)
-        y_trace = solve(g, Steffensen(dd=dd), form.y0, stop)
-        x_trace = IterationTrace(status=y_trace.status,
-                                 n_evals=y_trace.n_evals,
-                                 n_jac_evals=y_trace.n_jac_evals,
-                                 used_fd_jacobian=y_trace.used_fd_jacobian,
-                                 warnings=list(y_trace.warnings))
-        prev = None
-        for y in y_trace.iterates:
-            x, fx = x_and_f[y.tobytes()]
-            x_trace.iterates.append(x)
-            x_trace.residual_norms.append(problem.vector_norm(fx))
-            if prev is not None:
-                x_trace.step_norms.append(problem.vector_norm(x - prev))
-            prev = x
-    return AsisResult(x_trace=x_trace, y_trace=y_trace, form=form)
+    """solve(problem, ASIS(dd), x0, stop) in the shape the benchmark reads:
+    a rejected form raises its ValueError, and x_trace's n_evals and
+    n_jac_evals are G's calls (y_trace's), the form's setup not counted.
+    The library runs ASIS through solve."""
+    trace = solve(problem, ASIS(dd), x0, stop)
+    if trace.status == "form-rejected":
+        raise ValueError(trace.warnings[-1])
+    y_trace = trace.adimensional
+    if y_trace is not None:
+        trace.n_evals, trace.n_jac_evals = y_trace.n_evals, y_trace.n_jac_evals
+    return AsisResult(trace, y_trace)

@@ -14,8 +14,8 @@ from adimsolve.bounds import (majorizing_roots, newton_on_adim_poly,
                               steffensen_sequences)
 from adimsolve.divdiff import componentwise_dd, verify_interpolatory
 from adimsolve.experiments import steepest_descent_zigzag
-from adimsolve.methods import (HFamily, Newton, Secant, Steffensen,
-                               StoppingCriteria, asis_solve, solve)
+from adimsolve.methods import (ASIS, HFamily, Newton, Secant, Steffensen,
+                               StoppingCriteria, solve)
 from adimsolve.orders import q_order
 from adimsolve.problems import (Problem, builtin_problem, kantorovich_data)
 
@@ -56,8 +56,8 @@ def test_criterion_02_scale_equivariance(capsys):
     rel[x1[:n] == 0.0] = np.abs(x2[:n][x1[:n] == 0.0])
     ok = bool(np.all(rel <= 1e-12))
 
-    y1 = asis_solve(f1, 0.0, stop).y_trace.iterates
-    y2 = asis_solve(f2, 0.0, stop).y_trace.iterates
+    y1 = solve(f1, ASIS(), 0.0, stop).adimensional.iterates
+    y2 = solve(f2, ASIS(), 0.0, stop).adimensional.iterates
     n = min(len(y1), len(y2))
     dev = max(float(np.max(np.abs(y1[i] - y2[i]))) for i in range(n))
     ok = ok and dev <= 1e-13
@@ -152,8 +152,8 @@ def test_criterion_06_semilocal_envelopes_on_f1(capsys):
     # derivative-free envelope for the adimensional run
     data_s = kantorovich_data(f1, x0, mode="asis", k2=k2_local)
     ss = steffensen_sequences(data_s.a, 60)
-    asis = asis_solve(f1, x0, stop)
-    y_steps = np.array(asis.y_trace.step_norms)
+    asis = solve(f1, ASIS(), x0, stop)
+    y_steps = np.array(asis.adimensional.step_norms)
     n = min(len(y_steps), len(ss.d_seq))
     ok = ok and bool(np.all(y_steps[:n] <= ss.d_seq[:n] + 1e-14))
     _report(capsys, 6, "a-priori step and tail envelopes hold on the actual runs", ok)
@@ -163,7 +163,7 @@ def test_criterion_07_empirical_orders(capsys):
     f1 = builtin_problem("f1")
     stop = StoppingCriteria(step_tol=0.0, residual_tol=1e-16, max_iter=100)
     p_newton = q_order(solve(f1, Newton(), 0.0, stop).errors(1.0)).p
-    p_asis = q_order(asis_solve(f1, 0.0, stop).x_trace.errors(1.0)).p
+    p_asis = q_order(solve(f1, ASIS(), 0.0, stop).errors(1.0)).p
     p_secant = q_order(solve(f1, Secant(x_prev=-0.1), 0.0,
                              stop).errors(1.0)).p
     # far start so enough Halley iterates stay above the rounding floor
@@ -198,11 +198,10 @@ def test_criterion_09_zigzag_remark(capsys):
         _, ratios = steepest_descent_zigzag(b)
         expected = ((1.0 - b) / (1.0 + b)) ** 2
         ok &= bool(np.max(np.abs(ratios - expected)) <= 1e-10)
-        asis = asis_solve(builtin_problem("zigzag", b=b),
-                          np.array([b, 1.0]),
-                          StoppingCriteria(0.0, 1e-13, 10))
-        ok &= asis.x_trace.n_steps == 1
-        ok &= asis.x_trace.residual_norms[-1] <= 1e-13
+        asis = solve(builtin_problem("zigzag", b=b), ASIS(),
+                     np.array([b, 1.0]), StoppingCriteria(0.0, 1e-13, 10))
+        ok &= asis.n_steps == 1
+        ok &= asis.residual_norms[-1] <= 1e-13
     _report(capsys, 9, "steepest descent zigzags at the exact rate, "
                "scale-invariant run needs 1 step", ok)
 
@@ -215,7 +214,7 @@ def test_criterion_10_error_dominance_examples_1_and_3(capsys):
             (builtin_problem("example3"), np.zeros(2), np.array([1.0, -1.0]))):
         tr_newton = solve(problem, Newton(), x0, stop)
         tr_steff = solve(problem, Steffensen(), x0, stop)
-        e_asis = asis_solve(problem, x0, stop).x_trace.errors(root)
+        e_asis = solve(problem, ASIS(), x0, stop).errors(root)
         e_newton = tr_newton.errors(root)
         e_steff = tr_steff.errors(root)
         n = min(len(e_asis), len(e_newton))

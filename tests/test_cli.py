@@ -351,6 +351,18 @@ class TestConfigFile:
         assert capsys.readouterr().err == (
             "error: config must be a JSON object\n")
 
+    def test_a_null_leaves_the_flag_at_its_default(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # "out": null writes no files, not files in a directory named None
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "zigzag", "out": None,
+                                   "b": None}))
+        assert config_to_args(cfg) == ["zigzag"]
+        monkeypatch.chdir(tmp_path)
+        assert main(["--config", str(cfg)]) == 0
+        assert list(tmp_path.iterdir()) == [cfg]
+        assert "wrote" not in capsys.readouterr().out
+
     def test_config_a_directory_exits_2(self, tmp_path, capsys):
         # reading it raised IsADirectoryError past main's handlers
         assert main(["--config", str(tmp_path)]) == 2

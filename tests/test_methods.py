@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from adimsolve import adimensional
+from adimsolve import adimensional, methods
 from adimsolve.adimensional import adimensionalize
 from adimsolve.divdiff import DividedDifference
 from adimsolve.experiments import _log10_error_table, halley_h
@@ -578,39 +578,40 @@ class TestTraceSerialization:
 
 class TestAsis:
     def test_converges_on_f1(self, f1):
-        res = asis_solve(f1, 0.0, STOP)
-        assert res.x_trace.status.startswith("converged")
-        assert abs(res.x_trace.x_final[0] - 1.0) < 1e-12
+        trace = solve(f1, ASIS(), 0.0, STOP)
+        assert trace.status.startswith("converged")
+        assert abs(trace.x_final[0] - 1.0) < 1e-12
 
     def test_scale_invariance_f1_vs_f2(self, f1, f2):
         # f2(x) = f1(2x): identical adimensional iterates, x halved
         stop = StoppingCriteria(step_tol=0.0, residual_tol=1e-13, max_iter=50)
-        r1 = asis_solve(f1, 0.0, stop)
-        r2 = asis_solve(f2, 0.0, stop)
-        y1 = np.array([y[0] for y in r1.y_trace.iterates])
-        y2 = np.array([y[0] for y in r2.y_trace.iterates])
+        t1 = solve(f1, ASIS(), 0.0, stop)
+        t2 = solve(f2, ASIS(), 0.0, stop)
+        y1 = np.array([y[0] for y in t1.adimensional.iterates])
+        y2 = np.array([y[0] for y in t2.adimensional.iterates])
         n = min(len(y1), len(y2))
         assert np.allclose(y1[:n], y2[:n], atol=1e-13)
-        x1 = np.array([x[0] for x in r1.x_trace.iterates])
-        x2 = np.array([x[0] for x in r2.x_trace.iterates])
+        x1 = np.array([x[0] for x in t1.iterates])
+        x2 = np.array([x[0] for x in t2.iterates])
         assert np.allclose(x2[:n], x1[:n] / 2.0, atol=1e-13)
 
     def test_form_normalization(self, example3):
-        res = asis_solve(example3, [0.0, 0.0], STOP)
-        g = res.form.g
-        assert g.vector_norm(g.evaluate(res.form.y0)) == pytest.approx(1.0,
-                                                                       abs=1e-12)
+        form = adimensionalize(example3, [0.0, 0.0])
+        g = form.g
+        assert g.vector_norm(g.evaluate(form.y0)) == pytest.approx(1.0,
+                                                                   abs=1e-12)
 
     def test_back_transform_consistency(self, example3):
-        res = asis_solve(example3, [0.0, 0.0], STOP)
-        for y, x in zip(res.y_trace.iterates, res.x_trace.iterates):
-            assert np.allclose(res.form.to_original(y), x, atol=1e-13)
+        trace = solve(example3, ASIS(), [0.0, 0.0], STOP)
+        form = adimensionalize(example3, [0.0, 0.0])
+        for y, x in zip(trace.adimensional.iterates, trace.iterates):
+            assert np.allclose(form.to_original(y), x, atol=1e-13)
 
     def test_converges_on_example3(self, example3):
         stop = StoppingCriteria(step_tol=0.0, residual_tol=1e-13, max_iter=200)
-        res = asis_solve(example3, [0.0, 0.0], stop)
-        assert res.x_trace.status.startswith("converged")
-        assert np.allclose(res.x_trace.x_final, [1.0, -1.0], atol=1e-8)
+        trace = solve(example3, ASIS(), [0.0, 0.0], stop)
+        assert trace.status.startswith("converged")
+        assert np.allclose(trace.x_final, [1.0, -1.0], atol=1e-8)
 
     @pytest.mark.parametrize("name, x0, n_calls", [
         ("f1", 0.0, 15),
@@ -623,13 +624,14 @@ class TestAsis:
         # step on G: G(y0) is the form's F(x0), and the back-transform
         # reuses the F(x) behind each G(y)
         p, calls = recording(builtin_problem(name))
-        res = asis_solve(p, x0, StoppingCriteria())
-        assert len(calls["f"]) == n_calls
+        trace = solve(p, ASIS(), x0, StoppingCriteria())
+        assert len(calls["f"]) == trace.n_evals == n_calls
         assert len({x.tobytes() for x in calls["f"]}) == n_calls
-        # the reported count is still that of G's calls, G(y0) among them
+        # the y-space trace counts G's calls, G(y0) among them
         n_form = 2 * p.dimension + 1
-        assert res.x_trace.n_evals == res.y_trace.n_evals == n_calls - n_form + 1
-        assert res.x_trace.residual_norms[0] == p.vector_norm(res.form.f_c)
+        assert trace.adimensional.n_evals == n_calls - n_form + 1
+        form = adimensionalize(p, x0)
+        assert trace.residual_norms[0] == p.vector_norm(form.f_c)
 
     @pytest.mark.parametrize("dd", ["componentwise", "integral"])
     @pytest.mark.parametrize("name, x0", [("f1", [0.0]),
@@ -637,13 +639,13 @@ class TestAsis:
     def test_back_transform_is_that_of_evaluating_every_iterate(self, dd, name,
                                                                 x0):
         p = builtin_problem(name)
-        res = asis_solve(p, x0, STOP, DividedDifference(dd))
-        xs = [res.form.to_original(y) for y in res.y_trace.iterates]
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(res.x_trace.iterates, xs))
-        assert res.x_trace.residual_norms == [
+        trace = solve(p, ASIS(DividedDifference(dd)), x0, STOP)
+        form = adimensionalize(p, x0)
+        xs = [form.to_original(y) for y in trace.adimensional.iterates]
+        assert all(np.array_equal(a, b) for a, b in zip(trace.iterates, xs))
+        assert trace.residual_norms == [
             p.vector_norm(p.evaluate(x)) for x in xs]
-        assert res.x_trace.step_norms == [
+        assert trace.step_norms == [
             p.vector_norm(b - a) for a, b in zip(xs, xs[1:])]
 
     def test_a_failure_in_the_first_step_keeps_the_residual_at_y0(self, f1):
@@ -656,23 +658,23 @@ class TestAsis:
             return np.nan if n_calls[0] > 3 else f1.f(x)
 
         p = Problem(f=f, jacobian=f1.jacobian)
-        res = asis_solve(p, 0.0, STOP)
-        assert n_calls[0] == 4
-        assert res.x_trace.status == "domain-failure"
-        assert res.x_trace.residual_norms == [p.vector_norm(res.form.f_c)]
-        assert np.array_equal(res.x_trace.iterates,
-                              [res.form.to_original(res.form.y0)])
-        assert res.x_trace.n_evals == 2     # G(y0) and the failed node
+        trace = solve(p, ASIS(), 0.0, STOP)
+        assert n_calls[0] == trace.n_evals == 4
+        assert trace.status == trace.adimensional.status == "domain-failure"
+        form = adimensionalize(f1, 0.0)
+        assert trace.residual_norms == [f1.vector_norm(form.f_c)]
+        assert np.array_equal(trace.iterates, [form.to_original(form.y0)])
+        assert trace.adimensional.n_evals == 2   # G(y0) and the failed node
 
     @pytest.mark.parametrize("k", [1.0, 1e160, 1e-170])
     def test_converges_whatever_the_value_scale(self, f1, k):
         # ||F(x0)|| squared overflows at k = 1e160 and underflows at
         # k = 1e-170; sigma is still the norm, and the run is k = 1's
         p = apply_scaling(f1, LinearScaling(c=1.0, k=k))
-        res = asis_solve(p, 0.0, StoppingCriteria(residual_tol=1e-10))
-        assert res.x_trace.status == "converged-by-residual"
-        assert res.x_trace.n_steps == 6
-        assert abs(res.x_trace.x_final[0] - 1.0) < 1e-10
+        trace = solve(p, ASIS(), 0.0, StoppingCriteria(residual_tol=1e-10))
+        assert trace.status == "converged-by-residual"
+        assert trace.n_steps == 6
+        assert abs(trace.x_final[0] - 1.0) < 1e-10
 
     @pytest.mark.parametrize("p, x0", [
         (builtin_problem("f1"), [0.0]),
@@ -680,8 +682,8 @@ class TestAsis:
         (builtin_problem("example3"), [0.3, -0.7])])
     def test_the_first_iterate_is_the_callers_x0(self, p, x0):
         # y0 = 0 maps back to x0 + 0, bit for bit the caller's x0
-        res = asis_solve(p, x0, STOP)
-        assert res.x_trace.iterates[0].tobytes() == np.array(x0).tobytes()
+        trace = solve(p, ASIS(), x0, STOP)
+        assert trace.iterates[0].tobytes() == np.array(x0).tobytes()
 
     @pytest.mark.parametrize("name, x0, root, n_steps", [
         ("f1", [0.0], [1.0], 6), ("example3", [0.0, 0.0], [1.0, -1.0], 7)])
@@ -691,10 +693,11 @@ class TestAsis:
         # numbers of size 1e6
         t = 1e6
         p = moved(builtin_problem(name), t)
-        res = asis_solve(p, np.array(x0) + t, StoppingCriteria(0.0, 1e-15, 100))
-        assert res.x_trace.status == "converged-by-residual"
-        assert res.x_trace.n_steps == n_steps
-        assert np.allclose(res.x_trace.x_final, np.array(root) + t,
+        trace = solve(p, ASIS(), np.array(x0) + t,
+                      StoppingCriteria(0.0, 1e-15, 100))
+        assert trace.status == "converged-by-residual"
+        assert trace.n_steps == n_steps
+        assert np.allclose(trace.x_final, np.array(root) + t,
                            rtol=0.0, atol=1e-9)
 
     @pytest.mark.parametrize("name, x0, n_lu_solves", [
@@ -713,28 +716,18 @@ class TestAsis:
 
         monkeypatch.setattr(adimensional, "lu_solve", counting)
         p, calls = recording(builtin_problem(name))
-        asis_solve(p, x0, StoppingCriteria())
+        solve(p, ASIS(), x0, StoppingCriteria())
         m = p.dimension
         assert n_calls[0] == len(calls["f"]) - 2 * m + len(calls["jac"])
         assert n_calls[0] == n_lu_solves
 
-    def test_a_non_finite_t_is_a_domain_failure(self):
-        # F(x) = x from the least subnormal: sigma = 5e-324, T = -inf
-        p = Problem(f=lambda x: x, jacobian=lambda x: 1.0)
-        with pytest.raises(DomainError, match="non-finite T"):
-            asis_solve(p, 5e-324, StoppingCriteria())
-
-    def test_the_setup_runs_with_numpys_warnings_off(self, example3):
-        # k c F'(x0) overflows in the Jacobian of the form's setup; with
-        # pytest's error::RuntimeWarning a warning would escape instead
-        p = apply_scaling(example3, LinearScaling(1e150, 1e158))
-        with pytest.raises(DomainError, match="non-finite Jacobian"):
-            asis_solve(p, [0.0, 0.0], StoppingCriteria())
-
     @pytest.mark.parametrize("dd", ["componentwise", "integral"])
     @pytest.mark.parametrize("p, x0", [
         (builtin_problem("f1"), [0.0]),
+        (builtin_problem("f1"), 2.5),
+        (builtin_problem("example3"), [0.0, 0.0]),
         (builtin_problem("example3"), [0.3, -0.7]),
+        (builtin_problem("zigzag", b=0.1), [0.1, 1.0]),
         (apply_scaling(h_equation_problem(10, 0.78), LinearScaling(1.3, 0.7)),
          np.ones(10) / 1.3),
         (apply_scaling(h_equation_problem(100, 0.99), LinearScaling(1.3, 0.7)),
@@ -745,29 +738,39 @@ class TestAsis:
         # one-point G, a function without a stack of its own, so every row
         # of a stack is mapped to x by its own solve and evaluated by its
         # own call
-        method = Steffensen(DividedDifference(dd))
-        res = asis_solve(p, x0, STOP, method.dd)
-        g = res.form.g
+        rec, calls = recording(p)
+        trace = solve(rec, ASIS(DividedDifference(dd)), x0, STOP)
+        form = adimensionalize(p, x0)
+        g = form.g
         ref = solve(Problem(f=lambda y: g.f(y), jacobian=g.jacobian,
                             dimension=g.dimension, norm=g.norm),
-                    method, res.form.y0, STOP)
-        xs = [res.form.to_original(y) for y in ref.iterates]
-        assert res.y_trace.status == ref.status
-        assert len(res.y_trace.iterates) == len(ref.iterates) > 2
-        for a, b in ((res.y_trace.iterates, ref.iterates),
-                     (res.x_trace.iterates, xs)):
-            assert all(np.array_equal(u, v) for u, v in zip(a, b))
-        assert res.y_trace.residual_norms == ref.residual_norms
-        assert res.y_trace.step_norms == ref.step_norms
-        assert res.x_trace.residual_norms == [p.vector_norm(p.evaluate(x))
-                                              for x in xs]
-        assert (res.x_trace.n_evals, res.y_trace.n_evals) == (ref.n_evals,) * 2
-        assert res.y_trace.n_jac_evals == ref.n_jac_evals
+                    Steffensen(DividedDifference(dd)), form.y0, STOP)
+        xs = [form.to_original(y) for y in ref.iterates]
+        got = trace.adimensional
+        assert trace.status == got.status == ref.status
+        assert len(got.iterates) == len(trace.iterates) == len(ref.iterates) > 1
+        for a, b in ((got.iterates, ref.iterates), (trace.iterates, xs)):
+            assert all(u.tobytes() == v.tobytes() for u, v in zip(a, b))
+        assert got.residual_norms == ref.residual_norms
+        assert got.step_norms == ref.step_norms
+        assert trace.residual_norms == [p.vector_norm(p.evaluate(x))
+                                        for x in xs]
+        assert trace.step_norms == [p.vector_norm(b - a)
+                                    for a, b in zip(xs, xs[1:])]
+        assert trace.warnings == got.warnings == ref.warnings == []
+        assert (got.used_fd_jacobian, got.adimensional) == (
+            ref.used_fd_jacobian, None)
+        # G's calls are the reference's; solve counts the form's setup too,
+        # whose F(x0) is G(y0)
+        assert (got.n_evals, got.n_jac_evals) == (ref.n_evals, ref.n_jac_evals)
+        assert (trace.n_evals, trace.n_jac_evals) == (len(calls["f"]),
+                                                      len(calls["jac"]))
+        assert trace.n_evals == ref.n_evals + 2 * p.dimension
 
     def test_a_failure_inside_gs_stack_counts_every_row(self):
         # F fails at the first telescope point (its 6th call, after the
         # setup's 2m + 1 = 5): the stack evaluates its second row before
-        # its finiteness test, and both entry points count both
+        # its finiteness test, and both traces count both
         n_calls = [0]
 
         def f(x):
@@ -780,24 +783,30 @@ class TestAsis:
         p = Problem(f=f, jacobian=lambda x: np.array(
             [[1.0 + 3.0 * x[0] ** 2, 0.0], [0.1 * x[1], 1.0 + 0.1 * x[0]]]),
             dimension=2)
-        res = asis_solve(p, [0.0, 0.0], STOP)
-        assert res.x_trace.status == "domain-failure"
-        assert n_calls[0] == 7
-        assert res.x_trace.n_evals == res.y_trace.n_evals == 7 - 2 * 2
-        n_calls[0] = 0
         trace = solve(p, ASIS(), [0.0, 0.0], STOP)
         assert trace.status == "domain-failure"
         assert trace.n_evals == n_calls[0] == 7
+        assert trace.adimensional.n_evals == 7 - 2 * 2
 
-    def test_the_form_is_freed_without_the_garbage_collector(self):
-        # G refers to its form and the form not to G: no reference cycle
-        # keeps T and its factors alive after a solve
+    def test_the_form_is_freed_without_the_garbage_collector(self,
+                                                             monkeypatch):
+        # G refers to its form and the form not to G, and the trace keeps
+        # neither: no reference cycle keeps T and its factors alive after
+        # a solve
+        forms = []
+
+        def keeping(*args):
+            form = adimensionalize(*args)
+            forms.append(weakref.ref(form))
+            return form
+
+        monkeypatch.setattr(methods, "adimensionalize", keeping)
         gc.disable()
         try:
-            res = asis_solve(h_equation_problem(10, 0.78), np.ones(10), STOP)
-            form = weakref.ref(res.form)
-            del res
-            assert form() is None
+            trace = solve(h_equation_problem(10, 0.78), ASIS(), np.ones(10),
+                          STOP)
+            assert trace.status == "converged-by-residual"
+            assert len(forms) == 1 and forms[0]() is None
         finally:
             gc.enable()
 
@@ -838,14 +847,12 @@ class TestAsis:
         # the telescope go dead and take the Jacobian's
         stop = StoppingCriteria(step_tol=0.0, residual_tol=1e-10)
         p, calls = recording(h_equation_problem(m, 0.78))
-        res = asis_solve(p, np.ones(m), stop)
-        n = res.x_trace.n_steps
-        assert res.x_trace.status == "converged-by-residual" and n == 3
-        assert len(calls["f"]) == 2 * m + 1 + n * (m + 1)
-        assert res.x_trace.n_evals == res.y_trace.n_evals == 1 + n * (m + 1)
-        assert n_solves[0] == 2 + n * (m + 1)
         trace = solve(p, ASIS(), np.ones(m), stop)
-        assert trace.n_evals == 2 * m + 1 + n * (m + 1)
+        n = trace.n_steps
+        assert trace.status == "converged-by-residual" and n == 3
+        assert len(calls["f"]) == trace.n_evals == 2 * m + 1 + n * (m + 1)
+        assert trace.adimensional.n_evals == 1 + n * (m + 1)
+        assert n_solves[0] == 2 + n * (m + 1)
 
 
 class TestScaledStacks:
@@ -886,42 +893,20 @@ class TestScaledStacks:
 
 
 class TestAsisThroughSolve:
-    @pytest.mark.parametrize("dd", ["componentwise", "integral"])
-    @pytest.mark.parametrize("problem, x0", [
-        (builtin_problem("f1"), 0.0), (builtin_problem("f1"), 2.5),
-        (builtin_problem("example3"), [0.0, 0.0]),
-        (builtin_problem("zigzag", b=0.1), [0.1, 1.0])])
-    def test_the_trace_is_asis_solves(self, dd, problem, x0):
-        p, calls = recording(problem)
-        method = ASIS(DividedDifference(dd))
-        trace = solve(p, method, x0, STOP)
-        n_f, n_jac = len(calls["f"]), len(calls["jac"])
-        res = asis_solve(p, x0, STOP, method.dd)
-        ref = res.x_trace
-        assert trace.status == ref.status
-        assert len(trace.iterates) == len(ref.iterates)
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(trace.iterates, ref.iterates))
-        assert trace.residual_norms == ref.residual_norms
-        assert trace.step_norms == ref.step_norms
-        assert trace.warnings == ref.warnings
-        # solve counts the form's setup too
-        assert (trace.n_evals, trace.n_jac_evals) == (n_f, n_jac)
-        assert trace.n_evals == ref.n_evals + 2 * p.dimension
-        # the y-space trace is asis_solve's, bit for bit, with G's counts
-        got, want = trace.adimensional, res.y_trace
-        assert len(got.iterates) == len(want.iterates) > 1
-        assert all(a.tobytes() == b.tobytes()
-                   for a, b in zip(got.iterates, want.iterates))
-        assert np.array(got.residual_norms).tobytes() == np.array(
-            want.residual_norms).tobytes()
-        assert np.array(got.step_norms).tobytes() == np.array(
-            want.step_norms).tobytes()
-        assert (got.status, got.warnings, got.used_fd_jacobian) == (
-            want.status, want.warnings, want.used_fd_jacobian)
-        assert (got.n_evals, got.n_jac_evals) == (want.n_evals,
-                                                  want.n_jac_evals)
-        assert got.adimensional is None
+    def test_a_run_enters_solve_once(self, monkeypatch, f1):
+        # ASIS steps in solve's own loop: no solve on G nested inside
+        entered = []
+        real = methods.solve
+
+        def counting(*args):
+            entered.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(methods, "solve", counting)
+        trace = methods.solve(f1, ASIS(), 0.0, STOP)
+        assert trace.status == "converged-by-residual"
+        assert trace.adimensional.n_steps == trace.n_steps > 0
+        assert entered == [ASIS()]
 
     def test_the_package_root_runs_asis_through_solve(self):
         import adimsolve
@@ -994,13 +979,33 @@ class TestAsisThroughSolve:
         assert trace.adimensional is None
 
 
+
+class TestAsisSolve:
+    """asis_solve, which the benchmark calls: solve's ASIS run, with a
+    rejected form raised and G's counts reported as the x-trace's."""
+
+    def test_a_rejected_form_raises(self, f1):
+        p = Problem(f=f1.f, jacobian=lambda x: 1.1 * f1.jacobian(x))
+        with pytest.raises(ValueError,
+                           match=r"^adimensional form violates G'\(y0\) = -I"):
+            asis_solve(p, 0.0, STOP)
+
+    def test_the_x_trace_reports_gs_counts(self, f1):
+        res = asis_solve(f1, 0.0, StoppingCriteria())
+        trace = solve(f1, ASIS(), 0.0, StoppingCriteria())
+        assert res.y_trace is res.x_trace.adimensional
+        assert (res.x_trace.n_evals, res.x_trace.n_jac_evals) == (
+            res.y_trace.n_evals, res.y_trace.n_jac_evals) == (13, 0)
+        assert np.array_equal(res.x_trace.iterates, trace.iterates)
+        assert res.x_trace.residual_norms == trace.residual_norms
+
 INVARIANCE_STOP = StoppingCriteria(step_tol=0.0, residual_tol=1e-10,
                                    max_iter=100)
 
 
 def run_asis(p, x0):
-    res = asis_solve(p, x0, INVARIANCE_STOP)
-    return res.x_trace, res.y_trace.iterates
+    trace = solve(p, ASIS(), x0, INVARIANCE_STOP)
+    return trace, trace.adimensional.iterates
 
 
 def run_steffensen(p, x0):
@@ -1084,8 +1089,8 @@ class TestTranslationInvariance:
         # values, which moves them by a few steps
         t = sign * 10.0 ** u
         p = builtin_problem(name)
-        base = asis_solve(p, x0, INVARIANCE_STOP).x_trace
-        res = asis_solve(moved(p, t), np.array(x0) + t, INVARIANCE_STOP).x_trace
+        base = solve(p, ASIS(), x0, INVARIANCE_STOP)
+        res = solve(moved(p, t), ASIS(), np.array(x0) + t, INVARIANCE_STOP)
         assert res.status == base.status
         err = np.abs(res.x_final - t - np.array(root))
         assert np.all(err <= 1e-9 + 4.0 * np.finfo(float).eps * abs(t))
