@@ -2,10 +2,13 @@
 """SHA-256 digests of what a benchmark workload's ops return.
 
 Usage: python scripts/trace_digest.py --workload W --seed N
+                                      [--inherit-blas-threads]
 
 Builds the workload W of perfbench/workloads.py from seed N, runs one
 cycle of its ops in order, once each, with one BLAS thread as the
-benchmark does, and prints one digest per op kind and one over all ops:
+benchmark does (with --inherit-blas-threads, as many as the environment
+gives BLAS, its default where no variable sets them), and prints one
+digest per op kind and one over all ops:
 
 - solves (derivative-free): the iterates, residual and step norms, status,
   n_evals and n_jac_evals of each trace, and whether ASIS fell back;
@@ -84,9 +87,13 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True, choices=WORKLOADS)
     ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--inherit-blas-threads", action="store_true",
+                    help="leave BLAS's thread count to the environment")
     args = ap.parse_args(argv)
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"       # before numpy is imported, as run.py
+    if not args.inherit_blas_threads:
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            os.environ[var] = "1"   # before numpy is imported, as run.py
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads
 

@@ -32,14 +32,15 @@ class AdimensionalForm:
     """The transform y = T (x - x0) (T = -F'(x0)/sigma) and the map
     G(y) = F(x0 + T^-1 y)/sigma it defines.
 
-    T is kept as an LU factorization: each point y is mapped to x by its
-    own one-column solve of T d = y, x = x0 + d, rather than by forming
-    T^{-1}.  y0 = 0 is x0's image, and f_c = F(x0) the value behind G(y0).
+    T is kept as an LU factorization and as W = T^-1, formed once from
+    the factors.  A point mapped alone, y to x = x0 + d, takes its own
+    one-column solve of T d = y; a stack of points, a divided difference's
+    telescope, is mapped by one product with W.  y0 = 0 is x0's image,
+    and f_c = F(x0) the value behind G(y0).
 
     The form is G's map f: called on one point it returns G(y), and
-    evaluate_stack maps a stack of points, a divided difference's
-    telescope, to x row by row and evaluates them as one checked stack of
-    F.
+    evaluate_stack maps a stack to x by W and evaluates it as one checked
+    stack of F.
     """
 
     problem: Problem
@@ -48,6 +49,7 @@ class AdimensionalForm:
     T: np.ndarray
     y0: np.ndarray
     _lu: tuple = field(repr=False)
+    W: np.ndarray = field(repr=False)
     f_c: np.ndarray = field(repr=False)
 
     @property
@@ -72,9 +74,10 @@ class AdimensionalForm:
         return self._to_x(y)
 
     def _to_x(self, y: np.ndarray) -> np.ndarray:
-        """x = x0 + T^-1 y for a vector y: every point the form maps, one
-        at a time or in a stack, takes this one-column solve (a
-        multi-column solve gives other last bits)."""
+        """x = x0 + T^-1 y for one vector y, by a one-column solve: the
+        point G, G', to_original and the recorded iterates map alone.  A
+        stack's rows, mapped by W in evaluate_stack, can differ from it in
+        the last bits."""
         return self.x0 + lu_solve(self._lu, y)
 
     def __call__(self, y) -> np.ndarray:
@@ -89,12 +92,10 @@ class AdimensionalForm:
 
     def evaluate_stack(self, Y: np.ndarray, GY: np.ndarray) -> None:
         """G at each row of Y into GY, for Problem._evaluate_stack, which
-        tests Y and GY finite around it: the rows mapped to x one by one,
-        F at all of them one checked stack, then divided by sigma."""
-        X = np.empty(Y.shape)
-        for i, y in enumerate(Y):
-            X[i] = self._to_x(y)
-        self.problem._evaluate_stack(X, GY)
+        tests Y and GY finite around it: the rows mapped to x by one
+        product, X = x0 + Y W^T, F at all of them one checked stack, then
+        divided by sigma."""
+        self.problem._evaluate_stack(self.x0 + Y @ self.W.T, GY)
         GY /= self.sigma
 
 
@@ -122,7 +123,8 @@ def adimensionalize(problem: Problem, x0) -> AdimensionalForm:
         raise DomainError("domain failure: non-finite T = -F'(x0)/||F(x0)||")
     lu = factor_nonsingular(T)
     form = AdimensionalForm(problem=problem, x0=x0, sigma=sigma, T=T,
-                            y0=np.zeros(m), _lu=lu, f_c=fx0)
+                            y0=np.zeros(m), _lu=lu,
+                            W=lu_solve(lu, np.eye(m)), f_c=fx0)
     value_res, R = _normalization_residuals(form)
     if value_res > NORMALIZATION_TOL:
         raise ValueError(f"{FORM_REJECTED} ||G(y0)|| = 1: "
@@ -146,20 +148,21 @@ def check_normalization(form: AdimensionalForm) -> dict:
 
 
 def _normalization_residuals(form: AdimensionalForm):
-    """| ||G(y0)|| - 1 | and the matrix R = G'(y0) + I."""
+    """| ||G(y0)|| - 1 | and the matrix R = G'(y0) + I, its difference
+    directions taken from the form's W = T^-1 with no solve of their own."""
     p, T, sigma, x0 = form.problem, form.T, form.sigma, form.x0
     # G(y) = F(x0 + T^-1 y)/sigma, so both checks run on F in x-space about
     # x0, with the form's F(x0)
     value_res = abs(p.vector_norm(form.f_c / sigma) - 1.0)
     # G'(y0) by central differences with an absolute step h in y (y is
     # measured in Newton steps at x0): the y-steps h e_j are the x-steps
-    # D = T^-1 (h I), all m from one solve.  x0 +- D rounds by an ulp of
-    # |x0|, so each column is compared with the step it represents,
-    # T S with S = X+ - X-, not with the nominal 2h e_j (Dennis & Schnabel,
-    # App. A): R = [(F(X+) - F(X-))/sigma + T S] / 2h is G'(y0) + I up to
+    # D = h W.  x0 +- D rounds by an ulp of |x0|, so each column is
+    # compared with the step it represents, T S with S = X+ - X-, not with
+    # the nominal 2h e_j (Dennis & Schnabel, App. A):
+    # R = [(F(X+) - F(X-))/sigma + T S] / 2h is G'(y0) + I up to
     # truncation and the rounding of F.
     m = p.dimension
-    D = lu_solve(form._lu, CHECK_FD_STEP * np.eye(m))
+    D = CHECK_FD_STEP * form.W
     # rows 2j and 2j + 1 of X are x0 +- D[:, j], all 2m points one checked
     # stack of F evaluations
     X, FX = np.empty((2 * m, m)), np.empty((2 * m, m))

@@ -53,6 +53,15 @@ def _coincident(xj: float, yj: float) -> bool:
     return abs(yj - xj) < COINCIDENT_TOL * max(1.0, abs(xj))
 
 
+def _coincident_columns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """_coincident of each pair (x_j, y_j) as one array expression, the
+    same decisions: a NaN difference compares False, so its column is not
+    coincident, and np.maximum's NaN bound, where max gives 1.0, meets only
+    such a difference.  Unlike Python floats, numpy flags x_j = y_j = inf
+    as an invalid subtraction; F's finiteness test rejects such nodes."""
+    return np.abs(y - x) < COINCIDENT_TOL * np.maximum(1.0, np.abs(x))
+
+
 def scalar_dd(problem: Problem, x: float, y: float,
               fx: Optional[float] = None, fy: Optional[float] = None) -> float:
     """(f(x) - f(y)) / (x - y); falls back to f'(x) on coincident nodes.
@@ -86,19 +95,19 @@ def componentwise_dd(problem: Problem, x, y, fx=None, fy=None) -> np.ndarray:
     m = problem.dimension
     x = as_point(x, m)
     y = as_point(y, m)
-    # Python floats: the same IEEE arithmetic as numpy scalars, at less cost
-    live = [not _coincident(xj, yj) for xj, yj in zip(x.tolist(), y.tolist())]
-    dead = [j for j, ok in enumerate(live) if not ok]
+    coincident = _coincident_columns(x, y)
+    dead = np.flatnonzero(coincident)
     # row k of FZ is F(z_k); with dead columns, rows no live column uses
     # stay 0, so the subtraction below sees finite values only
-    FZ = np.zeros((m + 1, m)) if dead else np.empty((m + 1, m))
+    FZ = np.zeros((m + 1, m)) if dead.size else np.empty((m + 1, m))
     if fx is not None:
         FZ[0] = fx
     if fy is not None:
         FZ[m] = fy
     lo, hi = (0 if fx is None else 1), (m + 1 if fy is None else m)
-    if dead:
+    if dead.size:
         # z_k serves columns k - 1 and k
+        live = ~coincident
         rows = [k for k in range(lo, hi)
                 if (k < m and live[k]) or (k > 0 and live[k - 1])]
     else:
@@ -106,15 +115,15 @@ def componentwise_dd(problem: Problem, x, y, fx=None, fy=None) -> np.ndarray:
     Fk = FZ[rows]
     if len(Fk):
         problem._evaluate_stack(np.where(_telescope_mask(m)[rows], y, x), Fk)
-        if dead:
+        if dead.size:
             FZ[rows] = Fk
     H = np.empty((m, m))
     np.subtract(FZ[1:], FZ[:-1], out=H.T)
     d = y - x
-    if dead:
+    if dead.size:
         d[dead] = 1.0       # no 0/0: these columns take the Jacobian's
     H /= d
-    if dead:
+    if dead.size:
         H[:, dead] = problem.jac(x)[:, dead]
     return H
 

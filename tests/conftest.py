@@ -4,8 +4,9 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from adimsolve.problems import Problem, builtin_problem
+from adimsolve.problems import Problem, as_vector, builtin_problem
 
 
 @pytest.fixture
@@ -111,6 +112,31 @@ def moved(p, t):
     """x -> F(x - t): p with its origin moved to t."""
     return Problem(f=lambda x: p.f(x - t), jacobian=lambda x: p.jacobian(x - t),
                    dimension=p.dimension, name=f"{p.name} moved by {t}")
+
+
+def spelled_out_stack(form, Y):
+    """G at each row of Y as an adimensional form maps a stack, spelled
+    out: the rows taken to x by one product with W = T^-1,
+    X = x0 + Y W^T, then F called on each row of X and divided by sigma."""
+    X = form.x0 + Y @ form.W.T
+    return np.array([form.problem.evaluate(x) for x in X]) / form.sigma
+
+
+def spelled_out_g(form):
+    """G of an adimensional form as a Problem built here, the reference for
+    the form's bits: a point alone is taken to x by its own one-column
+    solve with T's LU factors, x = x0 + T^-1 y, and a stack by
+    spelled_out_stack."""
+    def g(y):
+        x = form.x0 + scipy.linalg.lu_solve(form._lu, as_vector(y))
+        return form.problem.evaluate(x) / form.sigma
+
+    def evaluate_stack(Y, GY):
+        GY[:] = spelled_out_stack(form, Y)
+
+    g.evaluate_stack = evaluate_stack
+    return Problem(f=g, jacobian=form.g.jacobian,
+                   dimension=form.problem.dimension, norm=form.problem.norm)
 
 
 def recording(problem):

@@ -19,7 +19,8 @@ from adimsolve.problems import (AlreadyAtRootError, DomainError,
                                 builtin_problem)
 
 from conftest import (h_equation_problem, linear_problem, moved,
-                      random_quadratic_problem, recording)
+                      random_quadratic_problem, recording, spelled_out_g,
+                      spelled_out_stack)
 
 E = math.e
 
@@ -244,7 +245,7 @@ class TestAdimensionalize:
             n_calls["lu_solve"] = 0
             adimensionalize(h_equation_problem(m, 0.78), np.ones(m))
             per_m.append(n_calls["lu_solve"])
-        # the m directions D, one solve
+        # W = T^-1, one solve; the check's m directions are h W
         assert per_m == [1, 1, 1, 1]
 
     @pytest.mark.parametrize("m", [10, 100])
@@ -334,25 +335,49 @@ def stack_telescope(m, dead):
     return np.where(np.tri(m + 1, m, -1, dtype=bool), y, x)
 
 
-def one_point_at_a_time(g):
-    """G as a Problem whose f is a plain function of one point, so every
-    row of a stack goes through f alone."""
-    return Problem(f=lambda y: g.f(y), jacobian=g.jacobian,
-                   dimension=g.dimension, norm=g.norm)
-
-
 class TestGStack:
-    """G's stack: each row mapped to x by its own solve, F one stack."""
+    """G's stack: the rows mapped to x by one product with W = T^-1, F one
+    stack; the reference, spelled_out_stack, writes the product out."""
 
     @pytest.mark.parametrize("m", [2, 10, 100])
     @pytest.mark.parametrize("dead", [[], [0], [1, -1]])
-    def test_stack_is_evaluate_row_by_row(self, m, dead):
+    def test_stack_is_the_spelled_out_product(self, m, dead):
         form = adimensionalize(h_equation_problem(m, 0.78), np.ones(m))
         assert form.g.f is form
         Y = stack_telescope(m, dead)
         GY = np.empty_like(Y)
         form.g._evaluate_stack(Y, GY)
-        assert np.array_equal(GY, np.array([form.g.evaluate(y) for y in Y]))
+        assert np.array_equal(GY, spelled_out_stack(form, Y))
+
+    def test_w_is_the_solve_of_the_identity(self):
+        # W = T^-1 from T's factors by one getrs, as scipy's lu_solve
+        form = adimensionalize(h_equation_problem(10, 0.78), np.ones(10))
+        assert np.array_equal(form.W,
+                              scipy.linalg.lu_solve(form._lu, np.eye(10)))
+
+    @pytest.mark.parametrize("m", [2, 10, 100])
+    @pytest.mark.parametrize("kappa", [None, 1e6])
+    def test_rows_agree_with_solving_each_point_alone(self, m, kappa):
+        # the product's rows and the one-column solves are two roundings of
+        # T^-1 y, each within a small multiple of kappa(T) eps of it
+        # (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3
+        # and 14), so within m kappa(T) eps of each other.  The H-equation's
+        # T has kappa ~1.5; the linear map's was built with kappa = 1e6
+        if kappa is None:
+            form = adimensionalize(h_equation_problem(m, 0.78), np.ones(m))
+        else:
+            rng = np.random.default_rng(m)
+            U = np.linalg.qr(rng.standard_normal((m, m)))[0]
+            V = np.linalg.qr(rng.standard_normal((m, m)))[0]
+            A = U @ np.diag(np.geomspace(1.0, 1.0 / kappa, m)) @ V.T
+            form = adimensionalize(linear_problem(A, rng.standard_normal(m)),
+                                   np.zeros(m))
+        bound = m * np.linalg.cond(form.T) * np.finfo(float).eps
+        Y = stack_telescope(m, [])
+        for y, x in zip(Y, form.x0 + Y @ form.W.T):
+            alone = form.to_original(y)
+            assert (np.linalg.norm(x - alone)
+                    <= bound * np.linalg.norm(alone - form.x0))
 
     @pytest.mark.parametrize("x0, bad_y, message", [
         (1e-10, lambda form: [np.nan, 0.0], "non-finite input point"),
@@ -399,14 +424,14 @@ class TestGStack:
     @pytest.mark.parametrize("m", [2, 10])
     def test_a_scaled_g_is_scaled_in_its_stacks_too(self, m):
         # apply_scaling replaces G's f by y -> k G(c y), whose stack hands
-        # the rows times c to G's stack: the bits of a plain G's rows
+        # the rows times c to G's stack: the bits of the spelled-out G's
         form = adimensionalize(h_equation_problem(m, 0.78), np.ones(m))
         s = LinearScaling(c=1.5, k=-3.0)
         scaled = apply_scaling(form.g, s)
         Z = stack_telescope(m, [])
         A = componentwise_dd(scaled, Z[0], Z[-1])
         assert np.array_equal(
-            A, componentwise_dd(apply_scaling(one_point_at_a_time(form.g), s),
+            A, componentwise_dd(apply_scaling(spelled_out_g(form), s),
                                 Z[0], Z[-1]))
         assert not np.array_equal(A, componentwise_dd(form.g, Z[0], Z[-1]))
 
@@ -419,7 +444,7 @@ class TestGStack:
         off.g._evaluate_stack(Y, GY_off)
         assert off.g.f is off
         assert np.array_equal(GY_off, GY / 2.0)
-        assert np.array_equal(GY_off[0], off.g.evaluate(Y[0]))
+        assert np.array_equal(GY_off, spelled_out_stack(off, Y))
 
 
 class TestAdimensionalPolynomial:

@@ -109,6 +109,31 @@ class TestComponentwise:
         H = componentwise_dd(example3, x, x.copy())
         assert np.allclose(H, example3.jac(x))
 
+    def test_coincident_columns_decide_as_coincident(self):
+        # the array test against _coincident on Python floats, pair by
+        # pair: signed zeros, infinities, NaN, equal nodes, and y a few
+        # ulps either side of the 1e-14 boundary for |x| below and above 1
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, 0.5, -2.0]
+        pairs = [(x, y) for x in special for y in special]
+        sides = []
+        for x in (0.0, 0.5, -0.75, 1.0, -3.0, 1e5):
+            bound = divdiff.COINCIDENT_TOL * max(1.0, abs(x))
+            ulp = max(math.ulp(x), math.ulp(bound))   # of y - x near bound
+            k0 = int(bound / ulp)
+            for k in range(k0 - 2, k0 + 3):
+                sides += [(x, x + k * ulp), (x, x - k * ulp)]
+        x, y = np.array(pairs + sides).T
+        want = [divdiff._coincident(a, b) for a, b in zip(x.tolist(),
+                                                         y.tolist())]
+        # numpy flags inf - inf as invalid, which Python floats do not
+        with np.errstate(invalid="ignore"):
+            got = divdiff._coincident_columns(x, y)
+        assert got.tolist() == want
+        # every x's pairs fall on both sides of its boundary
+        near = [divdiff._coincident(a, b) for a, b in sides]
+        assert all(any(near[i:i + 10]) and not all(near[i:i + 10])
+                   for i in range(0, len(near), 10))
+
     def test_each_telescope_point_evaluated_once(self):
         m = 5
         p, calls = recording(random_quadratic_problem(np.random.default_rng(4), m))

@@ -24,7 +24,8 @@ from adimsolve.problems import (AlreadyAtRootError, DomainError,
 
 from conftest import (assert_euclidean_norm, h_equation_kernel,
                       h_equation_problem, linear_problem, quadratic_problem,
-                      random_quadratic_problem, recording)
+                      random_quadratic_problem, recording,
+                      spelled_out_stack)
 
 E = math.e
 # Kantorovich threshold for f1: a = 1/2 exactly when K2 = 1
@@ -165,9 +166,12 @@ class TestEvaluateStack:
 
 
 def scaled_problem(m, which):
-    """A scaled problem and its start: of a plain F, of a form's G, or of
-    a scaled F scaled again; F is f1 at m = 1, the H-equation (c = 0.78)
-    above."""
+    """A scaled problem, its start and the reference of its stack: of a
+    plain F, of a form's G, or of a scaled F scaled again; F is f1 at
+    m = 1, the H-equation (c = 0.78) above.  The reference calls the
+    scaled f on each row, and for G hands the rows times c to G's stack
+    spelled out (the form maps a stack by one product) and multiplies by
+    k."""
     if m == 1:
         p, x0 = builtin_problem("f1"), np.zeros(1)
     else:
@@ -175,10 +179,14 @@ def scaled_problem(m, which):
     s1, s2 = LinearScaling(c=1.3, k=-0.7), LinearScaling(c=-0.6, k=2.5)
     if which == "form":
         form = adimensionalize(p, x0)
-        return apply_scaling(form.g, s1), form.y0
+        return (apply_scaling(form.g, s1), form.y0,
+                lambda Z: s1.k * spelled_out_stack(form, Z * s1.c))
     if which == "nested":
-        return apply_scaling(apply_scaling(p, s1), s2), x0 / (s1.c * s2.c)
-    return apply_scaling(p, s1), x0 / s1.c
+        q, start = apply_scaling(apply_scaling(p, s1), s2), x0 / (s1.c * s2.c)
+    else:
+        q, start = apply_scaling(p, s1), x0 / s1.c
+    return q, start, lambda Z: np.array(
+        [as_vector(q.f(z if m > 1 else z[0])) for z in Z])
 
 
 def one_call_per_point(p):
@@ -188,17 +196,17 @@ def one_call_per_point(p):
 
 class TestScaledStack:
     """apply_scaling's evaluate_stack: the rows times c to F's stack or F,
-    then times k, the bits and errors of calling the scaled f per row."""
+    then times k, the bits and errors of calling the scaled f per row
+    where F has no stack of its own."""
 
     @pytest.mark.parametrize("m", [1, 2, 10, 100])
     @pytest.mark.parametrize("which", ["plain", "form", "nested"])
     def test_stack_is_the_scaled_map_row_by_row(self, m, which):
-        q, start = scaled_problem(m, which)
+        q, start, reference = scaled_problem(m, which)
         Z = start + np.random.default_rng(m).uniform(-0.1, 0.1, (m + 1, m))
         FZ = np.empty_like(Z)
         q.f.evaluate_stack(Z, FZ)
-        rows = np.array([as_vector(q.f(z if m > 1 else z[0])) for z in Z])
-        assert np.array_equal(FZ, rows)
+        assert np.array_equal(FZ, reference(Z))
 
     def test_a_base_with_a_stack_gets_the_whole_stack(self):
         seen = []
