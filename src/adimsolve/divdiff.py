@@ -50,6 +50,10 @@ class DividedDifference:
 
 
 def _coincident(xj: float, yj: float) -> bool:
+    """|y_j - x_j| < 1e-14 max(1, |x_j|), on the nodes as Python floats:
+    a np.float64 node gives the same IEEE decision, without numpy-scalar
+    arithmetic or its warnings.  A NaN difference is not coincident."""
+    xj, yj = float(xj), float(yj)
     return abs(yj - xj) < COINCIDENT_TOL * max(1.0, abs(xj))
 
 

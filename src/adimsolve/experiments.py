@@ -6,6 +6,7 @@ deterministic: two runs produce identical tables.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -97,17 +98,18 @@ class ExperimentResult:
 
 
 def _log10_error_table(errs: Dict[str, np.ndarray]) -> Tuple[List[str], List[list]]:
-    """log10 of each curve's errors ||x_n - root||, one column per tag."""
+    """log10 of each curve's errors ||x_n - root||, one column per tag,
+    floored at 1e-300 and padded with "" below a shorter curve.  Each
+    column is converted to Python floats once and its cells are repr of
+    math.log10 over the whole column (np.log10 may differ in the last
+    bit); the rows are zipped from the columns."""
     n_max = max(len(e) for e in errs.values())
     header = ["n"] + [f"log10_err_{tag}" for tag in errs]
-    cols = [e.tolist() for e in errs.values()]
-    rows = []
-    for n in range(n_max):
-        row = [n]
-        for e in cols:
-            row.append(repr(math.log10(max(e[n], 1e-300))) if n < len(e) else "")
-        rows.append(row)
-    return header, rows
+    cols = [itertools.chain(
+                map(repr, map(math.log10, np.maximum(e, 1e-300).tolist())),
+                itertools.repeat("", n_max - len(e)))
+            for e in errs.values()]
+    return header, list(map(list, zip(map(str, range(n_max)), *cols)))
 
 
 def _first_index_below(errors: np.ndarray, threshold: float) -> Optional[int]:
@@ -293,7 +295,7 @@ def run_zigzag(b: float) -> ExperimentResult:
               dev <= 1e-10, f"max dev {dev:.2e}")
     res.tables["steepest_descent"] = (
         ["n", "x", "y", "energy_ratio"],
-        [[n, repr(float(iterates[n][0])), repr(float(iterates[n][1])),
+        [[str(n), repr(float(iterates[n][0])), repr(float(iterates[n][1])),
           repr(float(ratios[n])) if n < len(ratios) else ""]
          for n in range(len(iterates))])
 
@@ -325,7 +327,8 @@ def run_bounds_report(k2: float, B: float, eta: float, system: str = "newton",
     columns = [seqs.a_seq, seqs.b_seq, seqs.c_seq, seqs.d_seq, seqs.r_seq,
                seqs.d_seq * eta,
                bounds_mod.tail_envelope(s_star, seqs.r_seq, eta)]
-    rows = [[n] + [repr(float(col[n])) if n < len(col) else "" for col in columns]
+    rows = [[str(n)] + [repr(float(col[n])) if n < len(col) else ""
+                        for col in columns]
             for n in range(len(seqs.a_seq))]
     res.tables["table"] = (
         ["n", "a_n", "b_n", "c_n", "d_n", "r_n", "d_n_eta", "tail_eta"], rows)

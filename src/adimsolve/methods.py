@@ -5,6 +5,7 @@ scale-invariant Steffensen, Steffensen run on the adimensional form.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
@@ -44,10 +45,9 @@ class StoppingCriteria:
 
 def csv_text(header, rows) -> str:
     """The header and rows as CSV lines, each ending in a newline.  Every
-    cell is a name, an int, a repr float or "", none of which needs
-    quoting, so the cells are joined directly."""
-    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+    cell is a str: a name, an int's str, a repr float or "", none of
+    which needs quoting, so the cells are joined directly."""
+    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
 
 
 @dataclass
@@ -77,26 +77,36 @@ class IterationTrace:
         return max(len(self.iterates) - 1, 0)
 
     def errors(self, root) -> np.ndarray:
-        """Norms ||x_n - root|| (Euclidean), the rows of one stacked
-        difference."""
+        """Norms ||x_n - root|| (Euclidean) of one stacked difference: its
+        one column's |x_n - root| at m = 1, which is scalar_norm's value,
+        and euclidean_norm of each row above.  root is taken as a point of
+        the iterates' dimension, so a root of another dimension raises
+        ValueError rather than broadcasting."""
         if not self.iterates:
             return np.array([])
-        root = as_vector(root)
-        return np.array([euclidean_norm(d)
-                         for d in np.array(self.iterates) - root])
-
-    def to_rows(self):
-        rows = []
-        for n, x in enumerate(self.iterates):
-            step = "" if n == 0 else repr(float(self.step_norms[n - 1]))
-            rows.append([n] + [repr(float(v)) for v in x.tolist()]
-                        + [repr(float(self.residual_norms[n])), step])
-        return rows
+        D = np.array(self.iterates, dtype=float)
+        D -= as_point(root, D.shape[1])
+        if D.shape[1] == 1:
+            return np.abs(D[:, 0])
+        return np.array([euclidean_norm(d) for d in D])
 
     def to_csv(self) -> str:
-        m = len(self.iterates[0]) if self.iterates else 0
-        return csv_text(["n"] + [f"x{i}" for i in range(m)]
-                        + ["res_norm", "step_norm"], self.to_rows())
+        """The trace as CSV text through csv_text, a row per iterate: n, the
+        iterate's components, its residual norm and the step that reached
+        it ("" for x0).  Each column is converted to Python floats once
+        (the iterates as one float64 array, so an int iterate prints 1.0,
+        the norms by float) and its cells are repr over the whole column;
+        the rows are zipped from the columns, which must have a cell for
+        every iterate."""
+        if not self.iterates:
+            return csv_text(["n", "res_norm", "step_norm"], [])
+        X = np.array(self.iterates, dtype=float)
+        columns = [map(str, range(len(X))),
+                   *(map(repr, x) for x in X.T.tolist()),
+                   map(repr, map(float, self.residual_norms)),
+                   itertools.chain([""], map(repr, map(float, self.step_norms)))]
+        return csv_text(["n"] + [f"x{i}" for i in range(X.shape[1])]
+                        + ["res_norm", "step_norm"], zip(*columns, strict=True))
 
     def to_json(self) -> str:
         return json.dumps({
@@ -446,12 +456,13 @@ def _array_lane(p: Problem, method, x0, trace: IterationTrace):
 
 def _scalar_lane(p: Problem, method, x0, trace: IterationTrace):
     """The loop at m = 1 on numpy scalars, recording (1,) arrays: F by
-    Problem._value, scalar_norm (|s| in the max norm), so every iterate,
-    norm, count, status and exception is _array_lane's.  Newton and
-    Steffensen with the componentwise operator divide by their slope with
-    solve_scalar, as their array steps do with solve_linear; scalar_dd is
-    looked up on divdiff, as DividedDifference looks it up.  Any other
-    method runs its own step on (1,) arrays."""
+    Problem._value, and scalar_norm, |s|, both as the norm (the Euclidean
+    and the max norm of one element alike) and as the size the divergence
+    test measures, so every iterate, norm, count, status and exception is
+    _array_lane's.  Newton and Steffensen with the componentwise operator
+    divide by their slope with solve_scalar, as their array steps do with
+    solve_linear; scalar_dd is looked up on divdiff, as DividedDifference
+    looks it up.  Any other method runs its own step on (1,) arrays."""
     x = as_point(x0, 1)
 
     def start():
@@ -463,8 +474,7 @@ def _scalar_lane(p: Problem, method, x0, trace: IterationTrace):
         step = method.start(p, x, trace)
         return lambda t, ft: as_point(step(np.array([t]), np.array([ft])), 1)[0]
 
-    norm = scalar_norm if p.norm == "euclidean" else lambda s: abs(float(s))
-    return (x[0], p._value, norm, scalar_norm, lambda t: np.array([t]),
+    return (x[0], p._value, scalar_norm, scalar_norm, lambda t: np.array([t]),
             start, trace)
 
 

@@ -245,7 +245,7 @@ def euclidean_norm(v: np.ndarray) -> float:
     Where the sum of squares is finite and normal, this is the square root
     of the dot product of the flattened array, as np.linalg.norm computes
     it, so the bits are the same, without its dispatch; one element is
-    squared in Python, as ddot of one element does.  Where the squares
+    scalar_norm's |s|, the same bits as that square root.  Where the squares
     overflow or underflow, v is first divided by max|v| (Blue, ACM TOMS 4,
     1978), so entries of 1e160 or 1e-300 give their norm, not inf or 0.
     Zero, inf and NaN entries give sqrt(v.v): 0, inf and NaN.
@@ -265,13 +265,12 @@ def euclidean_norm(v: np.ndarray) -> float:
 
 
 def scalar_norm(s) -> float:
-    """euclidean_norm of the one element s: sqrt(s*s) in Python floats,
-    which is what ddot of one element computes, and |s| (max|v|, since
-    ||v / max|v||| = 1) where s*s overflows, without a warning, or
-    underflows."""
-    s = float(s)
-    ss = s * s
-    return math.sqrt(ss) if DBL_MIN <= ss <= DBL_MAX else abs(s)
+    """euclidean_norm of the one element s, |s| as a Python float.  This is
+    sqrt(s*s), what ddot of one element gives, bit for bit: in binary64
+    with round-to-nearest sqrt(RN(s*s)) = |s| wherever s*s is normal, and
+    where s*s overflows or underflows the norm scaled by max|v| is
+    max|v| * ||v / max|v||| = |s|."""
+    return abs(float(s))
 
 
 def rcond(lu: np.ndarray, A: np.ndarray) -> float:

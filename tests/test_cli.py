@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -265,6 +266,39 @@ def test_outputs_match_the_stored_golden_files(tmp_path, capsys):
         for name in written:
             assert ((tmp_path / d / name).read_bytes()
                     == (GOLDEN / name).read_bytes()), (d, name)
+
+
+def test_json_and_csv_traces_hold_the_same_floats(tmp_path, capsys):
+    """Each trace the paper's runs write reads the same iterates, residual
+    and step norms from its --format json file as from its --format csv
+    one, bit for bit (NaN where NaN)."""
+    bits = lambda v: "nan" if math.isnan(v) else v.hex()
+    for fmt in ("csv", "json"):
+        for argv in PAPER_RUNS:
+            assert main([*argv, "--out", str(tmp_path / fmt),
+                         "--format", fmt]) == 0
+    csv_traces = sorted(
+        p.stem for p in (tmp_path / "csv").glob("*.csv")
+        if p.read_text().partition("\n")[0].endswith(",res_norm,step_norm"))
+    json_traces = []
+    for path in sorted((tmp_path / "json").glob("*.json")):
+        obj = json.loads(path.read_text())
+        if "iterates" not in obj:
+            continue        # a run's metadata
+        json_traces.append(path.stem)
+        header, *rows = [line.split(",") for line in
+                         (tmp_path / "csv" / f"{path.stem}.csv")
+                         .read_text().splitlines()]
+        m = len(header) - 3
+        assert [int(r[0]) for r in rows] == list(range(len(rows)))
+        assert [[bits(float(c)) for c in r[1:m + 1]] for r in rows] == \
+            [[bits(float(v)) for v in x] for x in obj["iterates"]]
+        assert [bits(float(r[m + 1])) for r in rows] == \
+            [bits(float(v)) for v in obj["residual_norms"]]
+        assert rows[0][m + 2] == ""
+        assert [bits(float(r[m + 2])) for r in rows[1:]] == \
+            [bits(float(v)) for v in obj["step_norms"]]
+    assert json_traces == csv_traces and len(json_traces) >= 10
 
 
 class TestKeptParser:

@@ -20,6 +20,25 @@ from conftest import (h_equation_problem, linear_problem,
 F1_DD_ORACLE = 0.2726772679855246
 
 
+def coincident_edge_pairs():
+    """Node pairs (x, y) as two arrays: signed zeros, infinities, NaN, equal
+    nodes, and y a few ulps either side of the 1e-14 coincidence boundary
+    for |x| below and above 1, each x's pairs on both sides of it."""
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 0.5, -2.0]
+    pairs = [(x, y) for x in special for y in special]
+    sides = []
+    for x in (0.0, 0.5, -0.75, 1.0, -3.0, 1e5):
+        bound = divdiff.COINCIDENT_TOL * max(1.0, abs(x))
+        ulp = max(math.ulp(x), math.ulp(bound))   # of y - x near bound
+        k0 = int(bound / ulp)
+        for k in range(k0 - 2, k0 + 3):
+            sides += [(x, x + k * ulp), (x, x - k * ulp)]
+    near = [divdiff._coincident(a, b) for a, b in sides]
+    assert all(any(near[i:i + 10]) and not all(near[i:i + 10])
+               for i in range(0, len(near), 10))
+    return np.array(pairs + sides).T
+
+
 def reference_componentwise_dd(problem, x, y, fx=None, fy=None):
     """The telescope on numpy scalars, every point built by concatenation."""
     m = problem.dimension
@@ -110,29 +129,25 @@ class TestComponentwise:
         assert np.allclose(H, example3.jac(x))
 
     def test_coincident_columns_decide_as_coincident(self):
-        # the array test against _coincident on Python floats, pair by
-        # pair: signed zeros, infinities, NaN, equal nodes, and y a few
-        # ulps either side of the 1e-14 boundary for |x| below and above 1
-        special = [0.0, -0.0, math.inf, -math.inf, math.nan, 0.5, -2.0]
-        pairs = [(x, y) for x in special for y in special]
-        sides = []
-        for x in (0.0, 0.5, -0.75, 1.0, -3.0, 1e5):
-            bound = divdiff.COINCIDENT_TOL * max(1.0, abs(x))
-            ulp = max(math.ulp(x), math.ulp(bound))   # of y - x near bound
-            k0 = int(bound / ulp)
-            for k in range(k0 - 2, k0 + 3):
-                sides += [(x, x + k * ulp), (x, x - k * ulp)]
-        x, y = np.array(pairs + sides).T
+        # the array test against _coincident on Python floats, pair by pair
+        x, y = coincident_edge_pairs()
         want = [divdiff._coincident(a, b) for a, b in zip(x.tolist(),
                                                          y.tolist())]
         # numpy flags inf - inf as invalid, which Python floats do not
         with np.errstate(invalid="ignore"):
             got = divdiff._coincident_columns(x, y)
         assert got.tolist() == want
-        # every x's pairs fall on both sides of its boundary
-        near = [divdiff._coincident(a, b) for a, b in sides]
-        assert all(any(near[i:i + 10]) and not all(near[i:i + 10])
-                   for i in range(0, len(near), 10))
+
+    def test_coincident_decides_on_numpy_scalars_as_on_floats(self):
+        # the scalar lane's nodes are np.float64; _coincident takes them as
+        # Python floats, so inf - inf decides unwarned
+        x, y = coincident_edge_pairs()
+        want = [divdiff._coincident(a, b) for a, b in zip(x.tolist(),
+                                                         y.tolist())]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [divdiff._coincident(a, b) for a, b in zip(x, y)]
+        assert type(x[0]) is np.float64 and got == want
 
     def test_each_telescope_point_evaluated_once(self):
         m = 5

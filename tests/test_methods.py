@@ -24,7 +24,8 @@ from adimsolve.methods import (ASIS, Bisection, DampedFirstOrder,
                                steffensen_step)
 from adimsolve.problems import (DomainError, LinearScaling, Problem,
                                 SingularOperatorError, apply_scaling,
-                                builtin_problem, solve_linear)
+                                builtin_problem, euclidean_norm,
+                                solve_linear)
 
 from conftest import (assert_euclidean_norm, h_equation_problem,
                       linear_problem, moved, random_quadratic_problem,
@@ -477,7 +478,7 @@ class TestBisection:
 
 
 def reference_rows(trace):
-    """IterationTrace.to_rows, one numpy scalar at a time."""
+    """The rows IterationTrace.to_csv writes, one numpy scalar at a time."""
     rows = []
     for n, x in enumerate(trace.iterates):
         step = "" if n == 0 else repr(float(trace.step_norms[n - 1]))
@@ -500,7 +501,7 @@ def reference_log10_table(errs):
     """experiments._log10_error_table, one numpy scalar at a time."""
     rows = []
     for n in range(max(len(e) for e in errs.values())):
-        rows.append([n] + [repr(math.log10(max(e[n], 1e-300)))
+        rows.append([str(n)] + [repr(math.log10(max(e[n], 1e-300)))
                            if n < len(e) else "" for e in errs.values()])
     return ["n"] + [f"log10_err_{tag}" for tag in errs], rows
 
@@ -517,7 +518,7 @@ class TestTraceSerialization:
             step_norms=list(rng.uniform(0.0, 1.0, n - 1)))
         trace.iterates[3] = np.zeros(m)
         root = trace.iterates[3] if m == 1 else rng.standard_normal(m)
-        assert trace.to_rows() == reference_rows(trace)
+        assert trace.to_csv() == reference_csv(trace)
         assert trace.to_csv().count("\n") == n + 1
         errors = trace.errors(root)
         assert errors.dtype == np.float64 and errors.shape == (n,)
@@ -529,10 +530,25 @@ class TestTraceSerialization:
 
     def test_empty_trace(self):
         trace = IterationTrace()
-        assert trace.to_rows() == []
+        assert trace.to_csv() == reference_csv(trace)
         assert trace.to_csv() == "n,res_norm,step_norm\n"
         errors = trace.errors([1.0, 2.0])
         assert errors.shape == (0,) and errors.dtype == np.float64
+        assert trace.errors(5.0).shape == (0,)
+
+    def test_errors_take_the_root_as_a_point_of_the_iterates(self):
+        # a root of another dimension raised nothing: at m = 1 a 2-vector
+        # broadcast to 2-norms (4.12, 3.61), at m = 2 a scalar measured
+        # the distance to (1, 1)
+        one = IterationTrace(iterates=[np.array([1.0]), np.array([2.0])])
+        with pytest.raises(ValueError, match="dimension 1, got shape"):
+            one.errors([0.0, 5.0])
+        two = IterationTrace(iterates=[np.array([1.0, 3.0])])
+        with pytest.raises(ValueError, match="dimension 2, got shape"):
+            two.errors(1.0)
+        assert one.errors(3).tolist() == [2.0, 1.0]
+        assert one.errors([0.5]).tolist() == [0.5, 1.5]
+        assert two.errors(np.array([1.0, 1.0])).tolist() == [2.0]
 
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("n", [0, 1, 5])
@@ -547,6 +563,49 @@ class TestTraceSerialization:
             iterates=[np.array(take(m)) for _ in range(n)],
             residual_norms=take(n), step_norms=take(max(n - 1, 0)))
         assert trace.to_csv() == reference_csv(trace)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_crawl_length_columns_are_the_per_row_codes(self, m):
+        # example2's crawl writes ~3700 rows; here 4200, with nan, +-inf,
+        # -0.0, a subnormal and 1e+-300 in every column and int-valued
+        # iterates among float ones
+        rng = np.random.default_rng(70 + m)
+        n = 4200
+        special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 1e-300]
+        X = rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-300, 300, (n, m))
+        res = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-300, 300, n)
+        steps = rng.uniform(0.0, 1.0, n - 1)
+        for i, v in enumerate(special):
+            X[17 * i + 5] = v
+            X[11 * i + 3, -1] = v
+            res[13 * i + 1] = v
+            steps[19 * i + 2] = v
+        iterates = list(X)
+        for i in range(0, n, 97):
+            iterates[i] = rng.integers(-10**6, 10**6, m)
+        trace = IterationTrace(
+            iterates=iterates,
+            residual_norms=[float("nan")] + res[1:].tolist(),
+            step_norms=[np.float64(s) for s in steps])
+        assert trace.iterates[97].dtype.kind == "i"
+        text = trace.to_csv()
+        assert text == reference_csv(trace)
+        assert text.splitlines()[98].split(",")[1].endswith(".0")
+
+        root = rng.standard_normal(m)
+        errors = trace.errors(root)
+        want = np.array([euclidean_norm(np.asarray(x, dtype=float) - root)
+                         for x in trace.iterates])
+        assert errors.dtype == np.float64 and errors.shape == (n,)
+        assert np.array_equal(np.isnan(errors), np.isnan(want))
+        assert errors[~np.isnan(errors)].tobytes() == want[~np.isnan(want)].tobytes()
+
+        column = np.array(special + [0.0, 0.25, 3.0])
+        for errs in ({"crawl": errors, "short": errors[:9],
+                      "special": column, "empty": np.array([])},
+                     {"crawl": errors, "short": errors[:n // 2]},
+                     {"empty": np.array([]), "none": np.zeros(0)}):
+            assert _log10_error_table(errs) == reference_log10_table(errs)
 
     def test_csv_shape_and_header(self, example3):
         trace = solve(example3, Newton(), [0.0, 0.0], STOP)

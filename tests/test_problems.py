@@ -20,7 +20,7 @@ from adimsolve.problems import (AlreadyAtRootError, DomainError,
                                 builtin_problem,
                                 euclidean_norm, factor_nonsingular,
                                 kantorovich_data, lu_solve, sample_k2,
-                                solve_linear)
+                                scalar_norm, solve_linear)
 
 from conftest import (assert_euclidean_norm, h_equation_kernel,
                       h_equation_problem, linear_problem, quadratic_problem,
@@ -907,21 +907,57 @@ class TestNorms:
                               [np.linalg.norm(x - root) for x in iterates])
 
     def test_one_element_is_ddots_square_root(self):
+        # sqrt(s*s), what ddot of one element computes, to the bit and its
+        # sign where s*s is normal, and |s|, the scale-free norm, where it
+        # overflows or underflows: for a one-element array and for
+        # scalar_norm of a float, a np.float64 and an int alike
         rng = np.random.default_rng(3)
-        values = [0.0, -0.0, 1e-170, -1e-170, 1e200, 5e-324, np.inf, np.nan]
+        root_min, root_max = math.sqrt(DBL_MIN), math.sqrt(DBL_MAX)
+        values = [0.0, -0.0, 1e-170, -1e-170, 1e200, 5e-324, -2.5e-310,
+                  DBL_MIN, DBL_MAX, -DBL_MAX, np.inf, -np.inf, np.nan]
+        for r in (root_min, root_max):
+            for t in (r, math.nextafter(r, 0.0), math.nextafter(r, np.inf)):
+                values += [t, -t, math.nextafter(t, 0.0),
+                           math.nextafter(t, np.inf)]
         values += (rng.standard_normal(200)
                    * 10.0 ** rng.uniform(-300.0, 300.0, 200)).tolist()
         for s in values:
-            for v in (np.array([s]), np.array([[s]]), np.array([s, 1.0])[::2]):
-                r = v.ravel()
-                with np.errstate(over="ignore"):    # numpy's dot warns
-                    ss = r.dot(r)
-                got = euclidean_norm(v)
+            ss = s * s
+            want = math.sqrt(ss) if DBL_MIN <= ss <= DBL_MAX else abs(s)
+            for got in (euclidean_norm(np.array([s])),
+                        euclidean_norm(np.array([[s]])),
+                        euclidean_norm(np.array([s, 1.0])[::2]),
+                        scalar_norm(s), scalar_norm(np.float64(s)),
+                        *([scalar_norm(int(s))] if s.is_integer() else [])):
                 assert type(got) is float
-                if DBL_MIN <= ss <= DBL_MAX:
-                    assert got == math.sqrt(ss)
-                else:   # s * s overflows or underflows: |s|, scale-free
-                    assert got == abs(s) or (math.isnan(got) and math.isnan(s))
+                assert (got.hex() == want.hex()
+                        or math.isnan(got) and math.isnan(s))
+        # the neighbours of sqrt(DBL_MIN) and sqrt(DBL_MAX) straddle the
+        # normal range of s*s
+        below = math.nextafter(root_min, 0.0)
+        above = math.nextafter(root_max, np.inf)
+        assert below * below < DBL_MIN <= root_min * root_min
+        assert root_max * root_max <= DBL_MAX < above * above
+
+    def test_scalar_norm_is_the_square_root_of_the_square_bit_for_bit(self):
+        # in binary64 with round-to-nearest sqrt(RN(s*s)) = |s| wherever
+        # s*s is normal: 10^6 random bit patterns there as Python floats,
+        # the first 2 10^5 as np.float64 and the integral ones as int
+        rng = np.random.default_rng(2718)
+        s = rng.integers(0, 2**64, 2_200_000, dtype=np.uint64).view(np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ss = s * s
+        s = s[(DBL_MIN <= ss) & (ss <= DBL_MAX)]
+        assert s.size >= 10**6
+        floats = s.tolist()
+        want = np.array([math.sqrt(t * t) for t in floats])
+        assert np.array(list(map(scalar_norm, floats))).tobytes() == want.tobytes()
+        assert (np.array(list(map(scalar_norm, s[:200_000]))).tobytes()
+                == want[:200_000].tobytes())
+        ints = [int(t) for t in floats if abs(t) >= 2.0**53]
+        assert len(ints) > 10**5
+        assert all(scalar_norm(i) == math.sqrt(float(i) * float(i))
+                   for i in ints)
 
     def test_euclidean_operator_norm_of_a_column_a_row_and_a_scalar(self):
         # the one-column matrix [[3], [4]] has norm 5, not |A[0, 0]|
