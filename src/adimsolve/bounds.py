@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .adimensional import AdimensionalPolynomial
 from .problems import KantorovichData
@@ -170,6 +169,26 @@ class CubicRootClassification:
     roots: tuple               # positive roots in increasing order
 
 
+def _bisect(q, lo: float, hi: float) -> float:
+    """A root of q on [lo, hi], where q(lo) and q(hi) differ in sign:
+    the bracket is halved, the sign change kept inside it, until its
+    midpoint rounds to one of its ends, and the end with the smaller |q|
+    is returned (a midpoint where q is exactly 0 at once).  There is no
+    tolerance: the ends are then adjacent doubles."""
+    lo_positive = q(lo) > 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return lo if abs(q(lo)) <= abs(q(hi)) else hi
+        q_mid = q(mid)
+        if q_mid == 0.0:
+            return mid
+        if (q_mid > 0.0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+
+
 def cubic_positive_roots(a: float, b: float) -> CubicRootClassification:
     """Classify the positive roots of q(s) = (b/6)s^3 + (a/2)s^2 - s + 1.
 
@@ -177,11 +196,13 @@ def cubic_positive_roots(a: float, b: float) -> CubicRootClassification:
     positive zero s_c = 2/(a + sqrt(a^2 + 2b)) (the minimum of q), so the
     sign of the minimum decides: below -1e-11 -> two simple positive roots,
     within 1e-11 of zero -> one double, above -> none.  The quadratic
-    (b = 0) takes majorizing_roots' closed form; the cubic's roots are
-    located by safeguarded bisection.
+    (b = 0) takes majorizing_roots' closed form.  The cubic's roots are
+    bisected on [0, s_c] and on [s_c, hi], hi the first of max(2 s_c, 1)
+    doubled where q >= 0, until each bracket's ends are adjacent doubles;
+    the end with the smaller |q| is the root.  a and b must be finite.
     """
-    if not (a >= 0.0 and b >= 0.0):
-        raise ValueError("a and b must be nonnegative")
+    if not (0.0 <= a < math.inf and 0.0 <= b < math.inf):
+        raise ValueError("a and b must be nonnegative and finite")
     if b == 0.0:
         # q(1/a) = 1 - 1/(2a); linear (a = 0): single simple root at 1
         q_min, s_crit = (1.0 - 0.5 / a, 1.0 / a) if a else (-math.inf, math.inf)
@@ -197,13 +218,12 @@ def cubic_positive_roots(a: float, b: float) -> CubicRootClassification:
         roots = majorizing_roots(a)
         return CubicRootClassification(
             "two-simple", (roots.s_star, roots.s_star_star))
-    r1 = brentq(q, 0.0, s_crit, xtol=1e-15, rtol=8.9e-16)
     # q -> +inf, so the doubling ends
     hi = max(2.0 * s_crit, 1.0)
     while q(hi) < 0.0:
         hi *= 2.0
-    r2 = brentq(q, s_crit, hi, xtol=1e-15, rtol=8.9e-16)
-    return CubicRootClassification("two-simple", (r1, r2))
+    return CubicRootClassification(
+        "two-simple", (_bisect(q, 0.0, s_crit), _bisect(q, s_crit, hi)))
 
 
 # -- dimensional envelopes ---------------------------------------------------

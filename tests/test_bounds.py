@@ -307,10 +307,86 @@ class TestCubicRoots:
         assert cls.kind == "double"
         assert cls.roots[0] == pytest.approx(2.0, abs=1e-6)
 
-    @pytest.mark.parametrize("a, b", [(float("nan"), 0.1), (0.1, float("nan"))])
+    @pytest.mark.parametrize("a, b", [(float("nan"), 0.1), (0.1, float("nan")),
+                                      (math.inf, 0.1), (0.1, math.inf),
+                                      (math.inf, 0.0)])
     def test_rejects_nan_coefficients(self, a, b):
         with pytest.raises(ValueError, match="a and b must be nonnegative"):
             cubic_positive_roots(a, b)
+
+
+def brentq_cubic_roots(a, b):
+    """(kind, roots) of q(s) = (b/6)s^3 + (a/2)s^2 - s + 1 for b > 0 as
+    cubic_positive_roots classified them with scipy's brentq finding the
+    roots (xtol 1e-15, rtol 8.9e-16): the reference for the bisection."""
+    q = AdimensionalPolynomial(a=a, b=b)
+    s_crit = 2.0 / (a + math.hypot(a, math.sqrt(2.0 * b)))
+    q_min = q(s_crit)
+    if q_min > 1e-11:
+        return "none", ()
+    if q_min > -1e-11:
+        return "double", (s_crit, s_crit)
+    hi = max(2.0 * s_crit, 1.0)
+    while q(hi) < 0.0:
+        hi *= 2.0
+    return "two-simple", (brentq(q, 0.0, s_crit, xtol=1e-15, rtol=8.9e-16),
+                          brentq(q, s_crit, hi, xtol=1e-15, rtol=8.9e-16))
+
+
+def double_root_b(a):
+    """The b at which the minimum of q over s > 0 is 0, for 0 <= a < 1/2."""
+    def min_value(b):
+        q = AdimensionalPolynomial(a=a, b=b)
+        return q(2.0 / (a + math.hypot(a, math.sqrt(2.0 * b))))
+
+    return brentq(min_value, 1e-12, 5.0, xtol=1e-16, rtol=8.9e-16)
+
+
+def is_sign_change(q, r):
+    """q(r) is 0, or q changes sign between r and an adjacent double."""
+    q_r = q(r)
+    return q_r == 0.0 or any(
+        (q(math.nextafter(r, side)) > 0.0) != (q_r > 0.0)
+        for side in (-math.inf, math.inf))
+
+
+class TestCubicBisection:
+    def test_sweep_agrees_with_brentq(self):
+        # a in [0, 1/2], b log-uniform in [3e-6, 3]: about two thirds
+        # two-simple, the rest none
+        rng = np.random.default_rng(20)
+        kinds = set()
+        for a, u in rng.random((3000, 2)):
+            a, b = 0.5 * a, 3.0 * 10.0 ** (-6.0 * u)
+            cls = cubic_positive_roots(a, b)
+            kind, ref_roots = brentq_cubic_roots(a, b)
+            kinds.add(cls.kind)
+            assert cls.kind == kind
+            q = AdimensionalPolynomial(a=a, b=b)
+            for r, r_ref in zip(cls.roots, ref_roots, strict=True):
+                assert is_sign_change(q, r)
+                assert abs(r - r_ref) <= 1e-13 * r_ref
+        assert kinds == {"two-simple", "none"}
+
+    def test_kinds_next_to_the_double_root(self):
+        # within 1e-11 of q_min = 0 a pair is "double"; just outside, the
+        # roots bracket a sign change of q but lie where q is as flat as
+        # its rounding, so they are checked against brentq's only by kind
+        rng = np.random.default_rng(21)
+        kinds = set()
+        for a in 0.49 * rng.random(40):
+            b_double = double_root_b(a)
+            for rel in (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6):
+                b = b_double * (1.0 + rel)
+                cls = cubic_positive_roots(a, b)
+                kinds.add(cls.kind)
+                assert cls.kind == brentq_cubic_roots(a, b)[0]
+                if cls.kind == "two-simple":
+                    q = AdimensionalPolynomial(a=a, b=b)
+                    r1, r2 = cls.roots
+                    assert r1 < r2
+                    assert is_sign_change(q, r1) and is_sign_change(q, r2)
+        assert kinds == {"two-simple", "double", "none"}
 
 
 class TestErrorEnvelopes:

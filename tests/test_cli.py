@@ -1,6 +1,9 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -266,6 +269,21 @@ def test_outputs_match_the_stored_golden_files(tmp_path, capsys):
         for name in written:
             assert ((tmp_path / d / name).read_bytes()
                     == (GOLDEN / name).read_bytes()), (d, name)
+
+
+def test_import_loads_no_scipy_optimize():
+    """A fresh `import adimsolve, adimsolve.cli` loads numpy and scipy's
+    LAPACK wrappers but no scipy.optimize module, whose import costs as
+    much as the rest of scipy the library uses."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, adimsolve, adimsolve.cli; print(sorted(m for m in "
+            "sys.modules if m == 'scipy.optimize' "
+            "or m.startswith('scipy.optimize.')))")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_json_and_csv_traces_hold_the_same_floats(tmp_path, capsys):
