@@ -6,9 +6,9 @@ from .adimensional import (AdimensionalForm, AdimensionalPolynomial,
                            adimensional_polynomial, adimensionalize,
                            check_normalization)
 from .bounds import (BoundSequences, ErrorEnvelopes, HypothesesNotSatisfied,
-                     MajorizingRoots, cubic_positive_roots, error_envelopes,
-                     majorizing_roots, newton_on_adim_poly, newton_rate,
-                     newton_sequences, steffensen_on_adim_poly,
+                     MajorizingRoots, bound_table, cubic_positive_roots,
+                     error_envelopes, majorizing_roots, newton_on_adim_poly,
+                     newton_rate, newton_sequences, steffensen_on_adim_poly,
                      steffensen_sequences)
 from .divdiff import (DividedDifference, componentwise_dd, integral_dd,
                       scalar_dd, verify_interpolatory)

@@ -7,15 +7,16 @@ and F and by moving x's origin.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 # rcond is imported for perfbench/tracer.py, which patches this lookup site
-from .problems import (AlreadyAtRootError, DomainError, Problem, all_finite,
-                       as_point, as_vector, euclidean_norm, factor_nonsingular,
-                       lu_solve, rcond)
+from .problems import (AlreadyAtRootError, DomainError, KantorovichData,
+                       Problem, all_finite, as_point, as_vector,
+                       euclidean_norm, factor_nonsingular, lu_solve, rcond)
 
 NORMALIZATION_TOL = 1e-12   # allowed | ||G(y0)|| - 1 |
 DERIVATIVE_TOL = 1e-8       # allowed ||G'(y0) + I||, G' by finite differences
@@ -184,8 +185,8 @@ class AdimensionalPolynomial:
     b: float = 0.0
 
     def __post_init__(self):
-        if not (self.a >= 0.0 and self.b >= 0.0):
-            raise ValueError("a and b must be nonnegative")
+        if not (0.0 <= self.a < math.inf and 0.0 <= self.b < math.inf):
+            raise ValueError("a and b must be nonnegative and finite")
 
     def __call__(self, s: float) -> float:
         return ((self.b / 6.0) * s ** 3 + (self.a / 2.0) * s ** 2 - s + 1.0)
@@ -204,13 +205,11 @@ class AdimensionalPolynomial:
 
 def adimensional_polynomial(k2: float, B: float, eta: float,
                             k3: Optional[float] = None) -> AdimensionalPolynomial:
-    """Adimensional form of the majorizing polynomial: a = K2*B*eta and,
-    for the cubic, b = K3*B*eta^2."""
-    if not (B > 0.0 and eta > 0.0):
-        raise ValueError("B and eta must be positive")
-    if not k2 >= 0.0:
-        raise ValueError("k2 must be nonnegative")
+    """Adimensional form of the majorizing polynomial: a = K2*B*eta, from
+    the KantorovichData that checks (K2, B, eta), and, for the cubic,
+    b = K3*B*eta^2."""
+    a = KantorovichData(k2=k2, B=B, eta=eta).a
     if k3 is not None and not k3 >= 0.0:
         raise ValueError("k3 must be nonnegative")
     return AdimensionalPolynomial(
-        a=k2 * B * eta, b=0.0 if k3 is None else k3 * B * eta * eta)
+        a=a, b=0.0 if k3 is None else k3 * B * eta * eta)

@@ -199,15 +199,14 @@ def cubic_positive_roots(a: float, b: float) -> CubicRootClassification:
     (b = 0) takes majorizing_roots' closed form.  The cubic's roots are
     bisected on [0, s_c] and on [s_c, hi], hi the first of max(2 s_c, 1)
     doubled where q >= 0, until each bracket's ends are adjacent doubles;
-    the end with the smaller |q| is the root.  a and b must be finite.
+    the end with the smaller |q| is the root.  q's constructor rejects a
+    negative, infinite or NaN a or b.
     """
-    if not (0.0 <= a < math.inf and 0.0 <= b < math.inf):
-        raise ValueError("a and b must be nonnegative and finite")
+    q = AdimensionalPolynomial(a=a, b=b)
     if b == 0.0:
         # q(1/a) = 1 - 1/(2a); linear (a = 0): single simple root at 1
         q_min, s_crit = (1.0 - 0.5 / a, 1.0 / a) if a else (-math.inf, math.inf)
     else:
-        q = AdimensionalPolynomial(a=a, b=b)
         s_crit = 2.0 / (a + math.hypot(a, math.sqrt(2.0 * b)))
         q_min = q(s_crit)
     if q_min > 1e-11:
@@ -230,47 +229,46 @@ def cubic_positive_roots(a: float, b: float) -> CubicRootClassification:
 
 @dataclass
 class ErrorEnvelopes:
-    """Per-step and tail bounds in original units (adimensional d_n scaled
-    by eta, inverse bounds by B)."""
+    """The bound table of (K2, B, eta) under one system: its sequences and
+    their per-step, tail and inverse bounds in original units (adimensional
+    d_n scaled by eta, a_n by B).  s*, and so every tail, is NaN when
+    a > 1/2."""
 
     data: KantorovichData
     system: str
-    d_seq: np.ndarray             # adimensional per-step bounds d_n
+    sequences: BoundSequences
     step_bounds: np.ndarray       # d_n * eta
-    tail_bounds: np.ndarray       # (s* - r_n) * eta
+    tail_bounds: np.ndarray       # max(s* - r_n, 0) * eta
     inverse_bounds: np.ndarray    # a_n * B
-    r_seq: np.ndarray
     s_star: float
 
 
-def bound_sequences(a: float, N: int, system: str) -> BoundSequences:
-    """The sequences of the "newton" or the "steffensen" system, each with
-    its partial sums r_n = d_0 + ... + d_{n-1} as r_seq."""
+def bound_table(data: KantorovichData, N: int,
+                system: str = "newton") -> ErrorEnvelopes:
+    """The "newton" or the "steffensen" system's table over N steps, at any
+    a.  s* - r_n is clamped at 0, since a partial sum r_n can round past
+    s*; np.maximum keeps a NaN s* NaN."""
+    if N < 0:
+        raise ValueError("N must be nonnegative")
     if system == "newton":
-        return newton_sequences(a, N)
-    if system == "steffensen":
-        return steffensen_sequences(a, N)
-    raise ValueError(f"unknown system {system!r}")
-
-
-def tail_envelope(s_star: float, r_seq: np.ndarray, eta: float) -> np.ndarray:
-    """(s* - r_n) * eta, the bound on ||x* - x_n||, with s* - r_n clamped
-    at 0: a partial sum r_n that rounds past s* would make it negative.
-    np.maximum keeps a NaN s* (a > 1/2) NaN."""
-    return np.maximum(s_star - r_seq, 0.0) * eta
+        seqs = newton_sequences(data.a, N)
+    elif system == "steffensen":
+        seqs = steffensen_sequences(data.a, N)
+    else:
+        raise ValueError(f"unknown system {system!r}")
+    s_star = (majorizing_roots(data.a).s_star if data.a <= A_MAX
+              else float("nan"))
+    return ErrorEnvelopes(
+        data=data, system=system, sequences=seqs,
+        step_bounds=seqs.d_seq * data.eta,
+        tail_bounds=np.maximum(s_star - seqs.r_seq, 0.0) * data.eta,
+        inverse_bounds=seqs.a_seq * data.B, s_star=s_star)
 
 
 def error_envelopes(data: KantorovichData, N: int,
                     system: str = "newton") -> ErrorEnvelopes:
-    a = data.a
-    if a > A_MAX:
+    """bound_table under the hypothesis a <= 1/2, which it checks first."""
+    if data.a > A_MAX:
         raise HypothesesNotSatisfied(
-            f"hypotheses not satisfied: a = {a:.6g} > 1/2")
-    roots = majorizing_roots(a)
-    seqs = bound_sequences(a, N, system)
-    return ErrorEnvelopes(data=data, system=system, d_seq=seqs.d_seq,
-                          step_bounds=seqs.d_seq * data.eta,
-                          tail_bounds=tail_envelope(roots.s_star, seqs.r_seq,
-                                                    data.eta),
-                          inverse_bounds=seqs.a_seq * data.B,
-                          r_seq=seqs.r_seq, s_star=roots.s_star)
+            f"hypotheses not satisfied: a = {data.a:.6g} > 1/2")
+    return bound_table(data, N, system)

@@ -316,24 +316,19 @@ def run_bounds_report(k2: float, B: float, eta: float, system: str = "newton",
                       N: int = 20, override: bool = False) -> ExperimentResult:
     data = KantorovichData(k2=k2, B=B, eta=eta)
     res = ExperimentResult(name=f"bounds_{system}")
-    if data.a > bounds_mod.A_MAX and not override:
-        raise bounds_mod.HypothesesNotSatisfied(
-            f"hypotheses not satisfied: a = {data.a:.6g} > 1/2")
-    a = data.a
-    s_star = (bounds_mod.majorizing_roots(a).s_star if a <= bounds_mod.A_MAX
-              else float("nan"))
-    seqs = bounds_mod.bound_sequences(a, N, system)
+    build = bounds_mod.bound_table if override else bounds_mod.error_envelopes
+    env = build(data, N, system)
+    seqs = env.sequences
     # the Newton system has no b_n and c_n; a cell past a sequence's end is empty
     columns = [seqs.a_seq, seqs.b_seq, seqs.c_seq, seqs.d_seq, seqs.r_seq,
-               seqs.d_seq * eta,
-               bounds_mod.tail_envelope(s_star, seqs.r_seq, eta)]
+               env.step_bounds, env.tail_bounds]
     rows = [[str(n)] + [repr(float(col[n])) if n < len(col) else ""
                         for col in columns]
             for n in range(len(seqs.a_seq))]
     res.tables["table"] = (
         ["n", "a_n", "b_n", "c_n", "d_n", "r_n", "d_n_eta", "tail_eta"], rows)
-    res.metadata = {"k2": k2, "B": B, "eta": eta, "a": a, "system": system,
-                    "s_star": s_star, "status": seqs.status}
+    res.metadata = {"k2": k2, "B": B, "eta": eta, "a": data.a, "system": system,
+                    "s_star": env.s_star, "status": seqs.status}
     res.check("sequence system is positive", seqs.status == "positive",
               seqs.status)
     return res

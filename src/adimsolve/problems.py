@@ -413,11 +413,18 @@ def apply_scaling(problem: Problem, s: LinearScaling) -> Problem:
 
 @dataclass(frozen=True)
 class KantorovichData:
-    """The bounds (K2, B, eta) and the adimensional product a = K2*B*eta."""
+    """The bounds (K2, B, eta) and the adimensional product a = K2*B*eta.
+    B and eta must be positive and K2 nonnegative, all finite."""
 
     k2: float
     B: float
     eta: float
+
+    def __post_init__(self):
+        if not (0.0 < self.B < math.inf and 0.0 < self.eta < math.inf):
+            raise ValueError("B and eta must be positive and finite")
+        if not 0.0 <= self.k2 < math.inf:
+            raise ValueError("k2 must be nonnegative and finite")
 
     @property
     def a(self) -> float:

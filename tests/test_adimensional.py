@@ -479,8 +479,10 @@ class TestAdimensionalPolynomial:
         with pytest.raises(ValueError):
             AdimensionalPolynomial(a=-0.1)
 
-    @pytest.mark.parametrize("a, b", [(float("nan"), 0.0), (0.1, float("nan"))])
+    @pytest.mark.parametrize("a, b", [(float("nan"), 0.0), (0.1, float("nan")),
+                                      (float("inf"), 0.1), (0.1, float("inf"))])
     def test_nan_coefficients_rejected(self, a, b):
+        # AdimensionalPolynomial(a=inf, b=0.1)(0.0) read nan
         with pytest.raises(ValueError, match="a and b must be nonnegative"):
             AdimensionalPolynomial(a=a, b=b)
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from adimsolve.adimensional import AdimensionalPolynomial
-from adimsolve.bounds import (HypothesesNotSatisfied, bound_sequences,
+from adimsolve.bounds import (HypothesesNotSatisfied, bound_table,
                               cubic_positive_roots, error_envelopes,
                               majorizing_roots, newton_on_adim_poly,
                               newton_rate, newton_sequences,
@@ -423,7 +423,7 @@ class TestErrorEnvelopes:
             for system in ("newton", "steffensen"):
                 env = error_envelopes(KantorovichData(k2=a, B=1.0, eta=1.0),
                                       30, system)
-                unclamped = s_star - bound_sequences(a, 30, system).r_seq
+                unclamped = s_star - env.sequences.r_seq
                 negative += bool((unclamped < 0.0).any())
                 assert np.all(env.tail_bounds >= 0.0)
                 kept = unclamped > 0.0
@@ -433,13 +433,24 @@ class TestErrorEnvelopes:
 
     @pytest.mark.parametrize("system", ["newton", "steffensen"])
     def test_the_report_tails_are_the_envelopes(self, system):
-        k2, B, eta = 0.0010015, 1.0, 1.0
-        env = error_envelopes(KantorovichData(k2=k2, B=B, eta=eta), 20,
-                              system)
-        rows = run_bounds_report(k2, B, eta, system).tables["table"][1]
-        # the table has a row per a_n; the Newton system's r_seq is longer
-        assert [row[7] for row in rows] == [
-            repr(float(t)) for t in env.tail_bounds[:len(rows)]]
+        # every column is the bound table's, at a = 0.0010015, at a = 1/2
+        # and, under --override, at a = 0.8
+        B, eta = 1.0, 0.5
+        for k2, override in ((0.002003, False), (1.0, False), (1.6, True)):
+            for N in (0, 1, 20):
+                env = bound_table(KantorovichData(k2=k2, B=B, eta=eta), N,
+                                  system)
+                rows = run_bounds_report(k2, B, eta, system, N,
+                                         override).tables["table"][1]
+                seqs = env.sequences
+                columns = [seqs.a_seq, seqs.b_seq, seqs.c_seq, seqs.d_seq,
+                           seqs.r_seq, env.step_bounds, env.tail_bounds]
+                # a row per a_n; a cell past a shorter sequence's end is empty
+                assert len(rows) == len(seqs.a_seq)
+                for j, col in enumerate(columns, start=1):
+                    assert [row[j] for row in rows] == [
+                        repr(float(col[n])) if n < len(col) else ""
+                        for n in range(len(rows))]
 
     def test_the_report_tails_stay_nan_above_half(self):
         rows = run_bounds_report(1.0, 1.0, 0.8, override=True).tables["table"][1]
@@ -447,7 +458,8 @@ class TestErrorEnvelopes:
 
     def test_raises_above_half(self):
         data = KantorovichData(k2=1.0, B=1.0, eta=0.6)
-        with pytest.raises(HypothesesNotSatisfied):
+        with pytest.raises(HypothesesNotSatisfied,
+                           match=r"^hypotheses not satisfied: a = 0\.6 > 1/2$"):
             error_envelopes(data, 5)
 
     def test_unknown_system(self):

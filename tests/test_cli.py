@@ -52,16 +52,24 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, message", [
         (["bounds-report", "--k2", "nan", "--B", "1", "--eta", "0.5",
-          "--system", "newton"], "a must be nonnegative"),
+          "--system", "newton"], "k2 must be nonnegative"),
         (["bounds-report", "--k2", "1", "--B", "nan", "--eta", "0.5",
-          "--system", "steffensen"], "a must be nonnegative"),
+          "--system", "steffensen"], "B and eta must be positive"),
+        (["bounds-report", "--k2", "-1", "--B", "1", "--eta", "-0.5"],
+         "B and eta must be positive"),
+        (["bounds-report", "--k2", "-1", "--B", "-1", "--eta", "0.5"],
+         "B and eta must be positive"),
+        (["bounds-report", "--k2", "1", "--B", "1", "--eta", "0.5",
+          "--n", "-2"], "N must be nonnegative"),
         (["custom", "--problem", "f1", "--x0", "0.0", "--tol-res", "nan"],
          "tolerances must be nonnegative"),
     ])
     def test_a_nan_value_exits_2_as_a_negative_one_does(self, argv, message,
                                                        tmp_path, capsys):
         # NaN passed every "x < 0" test: bounds-report wrote an all-NaN
-        # table with [PASS] and exit 0, custom ran silently to max-iter
+        # table with [PASS] and exit 0, custom ran silently to max-iter;
+        # bounds-report also wrote tables of a negative eta or B (a = 0.5
+        # from K2 = B = -1) and of a negative step count, with exit 0
         assert main(argv + ["--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
