@@ -7,13 +7,49 @@ Everything is immutable after construction and safe to share.
 from __future__ import annotations
 
 import dataclasses
+import importlib.machinery
+import importlib.util
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dlange
+
+
+def _lapack_routines():
+    """LAPACK's dgecon, dgetrf, dgetrs and dlange: the function objects
+    that scipy.linalg.lapack re-exports from its compiled module
+    scipy.linalg._flapack.
+
+    Importing scipy.linalg.lapack runs scipy.linalg's package init, which
+    loads scipy's array-API layer and through it numpy.f2py: most of what
+    import adimsolve would cost.  So the extension is found in scipy's
+    directory without running any scipy init, loaded alone and registered
+    under its own name, so that a later import scipy.linalg takes it, not
+    a second copy; one already loaded is taken as it is.  Where it cannot
+    be found or loaded that way, the public module is imported.
+    """
+    name = "scipy.linalg._flapack"
+    try:
+        flapack = sys.modules.get(name)
+        if flapack is None:
+            dirs = importlib.util.find_spec("scipy").submodule_search_locations
+            spec = importlib.machinery.PathFinder.find_spec(
+                name, [os.path.join(d, "linalg") for d in dirs])
+            if spec is None:
+                raise ImportError(f"no module {name} beside scipy")
+            flapack = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(flapack)
+            sys.modules[name] = flapack
+        return flapack.dgecon, flapack.dgetrf, flapack.dgetrs, flapack.dlange
+    except (ImportError, AttributeError):
+        from scipy.linalg import lapack
+        return lapack.dgecon, lapack.dgetrf, lapack.dgetrs, lapack.dlange
+
+
+dgecon, dgetrf, dgetrs, dlange = _lapack_routines()
 
 FD_STEP = 1e-7
 RCOND_FLOOR = 1e-14
@@ -23,6 +59,7 @@ LANE_MIN = DBL_MIN
 LANE_MAX = 1.0 / DBL_MIN
 K2_SAMPLES = 24     # random points sample_k2 adds to the center and axis points
 K2_DELTA = 1e-5     # sample_k2's forward-difference step on the Jacobian
+DOT_CHUNK = 8192    # longest ddot euclidean_norm takes: OpenBLAS threads ddot only above 10000
 
 
 class DomainError(Exception):
@@ -243,8 +280,10 @@ def euclidean_norm(v: np.ndarray) -> float:
     """||v||_2 of a real array, scale-free.
 
     Where the sum of squares is finite and normal, this is the square root
-    of the dot product of the flattened array, as np.linalg.norm computes
-    it, so the bits are the same, without its dispatch; one element is
+    of the dot product v.v of the flattened array (_dot_self).  Up to
+    DOT_CHUNK elements that is how np.linalg.norm computes it, so the bits
+    are the same, without its dispatch; above, v.v is summed in pieces, so
+    the bits do not depend on the number of BLAS threads.  One element is
     scalar_norm's |s|, the same bits as that square root.  Where the squares
     overflow or underflow, v is first divided by max|v| (Blue, ACM TOMS 4,
     1978), so entries of 1e160 or 1e-300 give their norm, not inf or 0.
@@ -252,16 +291,32 @@ def euclidean_norm(v: np.ndarray) -> float:
     """
     if v.size == 1:
         return scalar_norm(v.item())
-    # vdot is dot's ddot, bit for bit, without dot's overflow warning
     v = v.ravel(order="K")
-    ss = np.vdot(v, v)
+    ss = _dot_self(v)
     if DBL_MIN <= ss <= DBL_MAX:
         return math.sqrt(ss)
     scale = float(np.abs(v).max())
     if not 0.0 < scale <= DBL_MAX:      # zero, inf or NaN
         return math.sqrt(ss)
     w = v / scale
-    return scale * math.sqrt(np.vdot(w, w))
+    return scale * math.sqrt(_dot_self(w))
+
+
+def _dot_self(v: np.ndarray) -> float:
+    """v.v of a flat array.  Up to DOT_CHUNK elements this is one ddot (by
+    np.vdot: dot's ddot, bit for bit, without dot's overflow warning).
+    OpenBLAS splits a longer ddot among its threads and adds their partial
+    sums, so its last bits follow the thread count; longer v is therefore
+    cut into DOT_CHUNK-element pieces, each one ddot on one thread, and
+    their sums are added exactly rounded by math.fsum (inf where only
+    that sum overflows)."""
+    if v.size <= DOT_CHUNK:
+        return np.vdot(v, v)
+    pieces = (v[i:i + DOT_CHUNK] for i in range(0, v.size, DOT_CHUNK))
+    try:
+        return math.fsum(np.vdot(p, p) for p in pieces)
+    except OverflowError:
+        return math.inf
 
 
 def scalar_norm(s) -> float:

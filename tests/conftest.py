@@ -1,6 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,3 +158,17 @@ def recording(problem):
             return problem.jacobian(x)
 
     return dataclasses.replace(problem, f=f, jacobian=jac), calls
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh_python(code, *args, **env):
+    """The stripped stdout of `python -c code args...` in a new interpreter
+    that imports adimsolve from this checkout's src, with env added to the
+    environment."""
+    out = subprocess.run([sys.executable, "-c", code, *args],
+                         env={**os.environ, "PYTHONPATH": str(SRC), **env},
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()

@@ -1,8 +1,6 @@
 import argparse
 import json
 import math
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -20,6 +18,8 @@ from adimsolve.methods import (ASIS, DampedFirstOrder, DampedSteffensen,
                                FixedSlope, HFamily, Newton, Steffensen,
                                StoppingCriteria)
 from adimsolve.problems import Problem, builtin_problem
+
+from conftest import fresh_python
 
 
 class TestExitCodes:
@@ -281,17 +281,86 @@ def test_outputs_match_the_stored_golden_files(tmp_path, capsys):
 
 def test_import_loads_no_scipy_optimize():
     """A fresh `import adimsolve, adimsolve.cli` loads numpy and scipy's
-    LAPACK wrappers but no scipy.optimize module, whose import costs as
-    much as the rest of scipy the library uses."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys, adimsolve, adimsolve.cli; print(sorted(m for m in "
-            "sys.modules if m == 'scipy.optimize' "
-            "or m.startswith('scipy.optimize.')))")
-    out = subprocess.run([sys.executable, "-c", code],
-                         env={**os.environ, "PYTHONPATH": str(src)},
-                         capture_output=True, text=True, timeout=120,
-                         check=True)
-    assert out.stdout.strip() == "[]"
+    compiled LAPACK wrappers, scipy.linalg._flapack, alone: no other
+    scipy.linalg module, so not scipy.linalg's package init, which loads
+    numpy.f2py through scipy's array-API layer, and no scipy.optimize
+    module, whose import costs as much again."""
+    loaded = json.loads(fresh_python(
+        "import json, sys, adimsolve, adimsolve.cli; "
+        "print(json.dumps(sorted(sys.modules)))"))
+    within = lambda pkg: [m for m in loaded
+                          if m == pkg or m.startswith(pkg + ".")]
+    assert within("scipy.optimize") == []
+    assert within("scipy.linalg") == ["scipy.linalg._flapack"]
+    assert within("numpy.f2py") == []
+
+
+LAPACK_NAMES = "('dgecon', 'dgetrf', 'dgetrs', 'dlange')"
+
+
+def test_scipy_linalg_imported_later_shares_the_lapack_routines():
+    """import scipy.linalg after adimsolve takes the extension module that
+    adimsolve loaded: scipy.linalg.lapack exports the very routines
+    problems.py calls, and scipy.linalg's own LU gives problems' factors."""
+    out = fresh_python(
+        "import sys, numpy as np\n"
+        "from adimsolve import problems\n"
+        "flapack = sys.modules.get('scipy.linalg._flapack')\n"
+        "import scipy.linalg, scipy.linalg.lapack as lapack\n"
+        "print(sys.modules['scipy.linalg._flapack'] is flapack)\n"
+        "print(all(getattr(problems, n) is getattr(lapack, n) "
+        f"for n in {LAPACK_NAMES}))\n"
+        "A = np.array([[1.0, 2.0, 0.5], [3.0, -1.0, 2.0], [0.0, 4.0, 1.0]])\n"
+        "lu, piv = scipy.linalg.lu_factor(A)\n"
+        "mine = problems.factor_nonsingular(A)\n"
+        "print(np.array_equal(lu, mine[0]) and np.array_equal(piv, mine[1]))")
+    assert out.split() == ["True", "True", "True"]
+
+
+def test_adimsolve_imported_after_scipy_linalg_reuses_its_extension():
+    """With scipy.linalg imported first, problems.py takes its loaded
+    scipy.linalg._flapack and loads no second copy."""
+    out = fresh_python(
+        "import importlib.util, json, sys\n"
+        "import scipy.linalg.lapack as lapack\n"
+        "flapack = sys.modules['scipy.linalg._flapack']\n"
+        "loads, load = [], importlib.util.module_from_spec\n"
+        "importlib.util.module_from_spec = "
+        "lambda spec: loads.append(spec.name) or load(spec)\n"
+        "from adimsolve import problems\n"
+        "print(json.dumps([loads, "
+        "sys.modules['scipy.linalg._flapack'] is flapack, "
+        "all(getattr(problems, n) is getattr(lapack, n) "
+        f"for n in {LAPACK_NAMES})]))")
+    assert json.loads(out) == [[], True, True]
+
+
+def test_without_the_direct_load_the_public_module_serves(tmp_path):
+    """Where scipy.linalg._flapack cannot be found without scipy.linalg's
+    init, problems.py imports scipy.linalg.lapack and binds its routines,
+    and example3 still writes its golden bytes."""
+    out = fresh_python(
+        "import importlib.machinery, json, sys\n"
+        "find = importlib.machinery.PathFinder.find_spec\n"
+        "def hide(name, path=None, target=None):\n"
+        "    if (name == 'scipy.linalg._flapack'\n"
+        "            and 'scipy.linalg' not in sys.modules):\n"
+        "        return None\n"
+        "    return find(name, path, target)\n"
+        "importlib.machinery.PathFinder.find_spec = hide\n"
+        "from adimsolve import problems\n"
+        "from adimsolve.cli import main\n"
+        "fell_back = 'scipy.linalg.lapack' in sys.modules\n"
+        "import scipy.linalg.lapack as lapack\n"
+        "code = main(['example3', '--out', sys.argv[1]])\n"
+        "print(json.dumps([fell_back, code, "
+        "all(getattr(problems, n) is getattr(lapack, n) "
+        f"for n in {LAPACK_NAMES})]))", str(tmp_path))
+    assert json.loads(out.splitlines()[-1]) == [True, 0, True]
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(p.name for p in GOLDEN.glob("example3_*"))
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_json_and_csv_traces_hold_the_same_floats(tmp_path, capsys):

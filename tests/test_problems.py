@@ -13,7 +13,7 @@ from scipy.linalg.lapack import dgetrs, dlange
 
 from adimsolve.adimensional import adimensionalize
 from adimsolve.methods import IterationTrace
-from adimsolve.problems import (AlreadyAtRootError, DomainError,
+from adimsolve.problems import (DOT_CHUNK, AlreadyAtRootError, DomainError,
                                 LinearScaling, Problem,
                                 SingularOperatorError, apply_scaling,
                                 as_matrix, as_point, as_vector,
@@ -22,7 +22,7 @@ from adimsolve.problems import (AlreadyAtRootError, DomainError,
                                 kantorovich_data, lu_solve, sample_k2,
                                 scalar_norm, solve_linear)
 
-from conftest import (assert_euclidean_norm, h_equation_kernel,
+from conftest import (assert_euclidean_norm, fresh_python, h_equation_kernel,
                       h_equation_problem, linear_problem, quadratic_problem,
                       random_quadratic_problem, recording,
                       spelled_out_stack)
@@ -905,6 +905,38 @@ class TestNorms:
         errors = IterationTrace(iterates=iterates).errors(root)
         assert np.array_equal(errors,
                               [np.linalg.norm(x - root) for x in iterates])
+
+    def test_a_long_norm_does_not_depend_on_the_blas_threads(self):
+        # sample_k2's slab at m = 24 has 24^3 = 13824 elements, more than
+        # the 10000 above which OpenBLAS splits one ddot among its threads
+        code = ("import numpy as np\n"
+                "from adimsolve.problems import euclidean_norm\n"
+                "print([euclidean_norm(np.random.default_rng(s)"
+                ".standard_normal(24 ** 3)).hex() for s in range(8)])")
+        one, two = (fresh_python(code, OPENBLAS_NUM_THREADS=n)
+                    for n in ("1", "2"))
+        assert one == two
+
+    @pytest.mark.parametrize("n", [8192, 8193, 13824, 40000])
+    def test_long_norms_sum_their_pieces(self, n):
+        # up to DOT_CHUNK elements numpy's bits; above, within an ulp or
+        # two of the exactly rounded sum of squares, at every scale
+        v = np.random.default_rng(n).standard_normal(n)
+        if n <= DOT_CHUNK:
+            assert euclidean_norm(v) == np.linalg.norm(v)
+        assert euclidean_norm(v) == pytest.approx(
+            math.sqrt(math.fsum(v * v)), rel=4e-16)
+        for s in (1e-160, 1e160):
+            assert euclidean_norm(s * v) == pytest.approx(
+                s * euclidean_norm(v), rel=1e-15)
+
+    def test_pieces_whose_sum_overflows_are_scaled(self):
+        # each piece's sum of squares is finite, their sum is not, and
+        # scaled by max|v| the squares are ones, summed exactly
+        n = 2 * DOT_CHUNK + 1
+        v = np.full(n, 0.9 * math.sqrt(DBL_MAX / DOT_CHUNK))
+        assert np.isfinite(np.vdot(v[:DOT_CHUNK], v[:DOT_CHUNK]))
+        assert euclidean_norm(v) == math.sqrt(n) * v[0]
 
     def test_one_element_is_ddots_square_root(self):
         # sqrt(s*s), what ddot of one element computes, to the bit and its
