@@ -189,7 +189,10 @@ class AdimensionalPolynomial:
             raise ValueError("a and b must be nonnegative and finite")
 
     def __call__(self, s: float) -> float:
-        return ((self.b / 6.0) * s ** 3 + (self.a / 2.0) * s ** 2 - s + 1.0)
+        try:
+            return (self.b / 6.0) * s ** 3 + (self.a / 2.0) * s ** 2 - s + 1.0
+        except OverflowError:   # s ** 3 overflows; (b/6) s^3 may not
+            return self.b / 6.0 * s * s * s + self.a / 2.0 * s * s - s + 1.0
 
     def derivative(self, s: float) -> float:
         return (self.b / 2.0) * s ** 2 + self.a * s - 1.0

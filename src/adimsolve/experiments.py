@@ -7,7 +7,6 @@ deterministic: two runs produce identical tables.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +20,7 @@ from .divdiff import DividedDifference
 # asis_solve is imported for perfbench/tracer.py, which patches this lookup site
 from .methods import (ASIS, DampedFirstOrder, DampedSteffensen, FixedSlope,
                       HFamily, IterationTrace, Newton, Secant, Steffensen,
-                      StoppingCriteria, asis_solve, csv_text, solve)
+                      StoppingCriteria, asis_solve, csv_text, json_text, solve)
 from .problems import KantorovichData, as_vector, builtin_problem
 
 
@@ -92,7 +91,7 @@ class ExperimentResult:
             written.append(path)
         if self.metadata:
             path = out_dir / f"{self.name}_metadata.json"
-            path.write_text(json.dumps(self.metadata, indent=2, sort_keys=True))
+            path.write_text(json_text(self.metadata, indent=2, sort_keys=True))
             written.append(path)
         return written
 

@@ -50,6 +50,13 @@ def csv_text(header, rows) -> str:
     return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
 
 
+def json_text(obj, **kwargs) -> str:
+    """json.dumps(obj, **kwargs) as strict JSON: obj's text read back, each
+    NaN or Infinity as null and each other value as it was (repr floats)."""
+    strict = json.loads(json.dumps(obj), parse_constant=lambda token: None)
+    return json.dumps(strict, allow_nan=False, **kwargs)
+
+
 @dataclass
 class IterationTrace:
     """Full record of one solver run."""
@@ -109,7 +116,7 @@ class IterationTrace:
                         + ["res_norm", "step_norm"], zip(*columns, strict=True))
 
     def to_json(self) -> str:
-        return json.dumps({
+        return json_text({
             "iterates": [list(x) for x in self.iterates],
             "residual_norms": self.residual_norms,
             "step_norms": self.step_norms,

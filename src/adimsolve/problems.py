@@ -1,8 +1,8 @@
 """Scalar and finite-dimensional nonlinear problems F(x)=0.
 
-A Problem bundles the map, an optional analytic Jacobian, an optional
-second-derivative norm bound, and the norm used for vectors and operators.
-Everything is immutable after construction and safe to share.
+A Problem bundles the map, optional analytic first and scalar second
+derivatives, and the norm used for vectors and operators; it is immutable
+after construction and safe to share.
 """
 from __future__ import annotations
 
@@ -140,7 +140,6 @@ class Problem:
     dimension: int = 1
     jacobian: Optional[Callable] = None
     d2f: Optional[Callable] = None
-    k2: Optional[float] = None
     norm: str = "euclidean"
     name: str = ""
 
@@ -149,8 +148,6 @@ class Problem:
             raise ValueError("dimension must be a positive integer")
         if self.norm not in ("euclidean", "max"):
             raise ValueError(f"unknown norm {self.norm!r}")
-        if self.k2 is not None and not self.k2 >= 0.0:
-            raise ValueError("k2 must be nonnegative")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -457,10 +454,8 @@ def apply_scaling(problem: Problem, s: LinearScaling) -> Problem:
         def d2_scaled(x):
             return kcc(base_d2(x * c))
 
-    k2_scaled = (None if problem.k2 is None
-                 else _times(abs(k), c, c)(problem.k2))
     return dataclasses.replace(problem, f=f_scaled, jacobian=jac_scaled,
-                               d2f=d2_scaled, k2=k2_scaled,
+                               d2f=d2_scaled,
                                name=f"{problem.name}(scaled c={c},k={k})")
 
 
@@ -492,12 +487,9 @@ def kantorovich_data(problem: Problem, x0, mode: str = "newton",
 
     mode="newton": eta bounds ||F'(x0)^-1 F(x0)||.
     mode="asis":   eta = B * ||F(x0)||.
-    K2 is taken explicit (argument, then problem.k2) or estimated by
-    sample_k2 over the ball B(x0, 2*eta): the largest closed-form bound on
-    ||F''|| at its 2m + 25 sample points, each at least the true norm there
-    and at most m times it, for m + 1 Jacobians and one reduction per point.
-    F'(x0) is factored once, for B and eta, and rejected as singular as in
-    factor_nonsingular.
+    K2 is the argument k2, or else sample_k2's bound on ||F''|| over the
+    ball B(x0, 2*eta); KantorovichData checks it.  F'(x0) is factored once,
+    for B and eta, and rejected as singular as in factor_nonsingular.
     """
     if mode not in ("newton", "asis"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -512,8 +504,6 @@ def kantorovich_data(problem: Problem, x0, mode: str = "newton",
         eta = problem.vector_norm(lu_solve(lu, fx0))
     else:
         eta = B * nf0
-    if k2 is None:
-        k2 = problem.k2
     if k2 is None:
         k2 = sample_k2(problem, x0, 2.0 * eta)
     return KantorovichData(k2=float(k2), B=float(B), eta=float(eta))

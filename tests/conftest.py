@@ -57,9 +57,9 @@ def linear_problem(A, b=None, norm="euclidean"):
     if m == 1:
         return Problem(f=lambda x: A[0, 0] * x - b[0],
                        jacobian=lambda x: A[0, 0],
-                       d2f=lambda x: 0.0, k2=0.0,
+                       d2f=lambda x: 0.0,
                        dimension=1, norm=norm, name="linear")
-    return Problem(f=lambda x: A @ x - b, jacobian=lambda x: A, k2=0.0,
+    return Problem(f=lambda x: A @ x - b, jacobian=lambda x: A,
                    dimension=m, norm=norm, name="linear")
 
 

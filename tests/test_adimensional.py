@@ -311,6 +311,14 @@ class TestAdimensionalize:
         adimensionalize(p, np.ones(10))
         assert len(calls) == n_norms
 
+    def test_a_subnormal_residual_misses_the_unit_value(self):
+        # F(x0) = (5e-324, 5e-324): its norm, sqrt(2) * 5e-324, rounds to
+        # sigma = 5e-324, so ||F(x0)/sigma|| = sqrt(2)
+        p = linear_problem(1e-300 * np.eye(2), b=[-5e-324, -5e-324])
+        with pytest.raises(ValueError, match=r"^adimensional form violates "
+                           r"\|\|G\(y0\)\|\| = 1: residual 4\.142e-01$"):
+            adimensionalize(p, [0.0, 0.0])
+
     def test_a_rejection_quotes_the_exact_norm(self):
         # F(x) = x - b with Jacobian I + E, E's singular values 5e-8 and
         # 2.5e-8: R ~ E, whose Frobenius norm, 5.59e-8, fails the pre-test;

@@ -247,9 +247,13 @@ class TestCubicRoots:
         assert cls.roots == (1.0, math.inf)
 
     @pytest.mark.parametrize("a, b", [(1e-13, 0.0), (0.0, 1e-25),
-                                      (1e-30, 1e-30)])
+                                      (1e-30, 1e-30), (0.0, 1e-205),
+                                      (0.0, 1e-210), (0.0, 1e-250),
+                                      (0.0, 1e-300), (1e-160, 1e-300)])
     def test_small_coefficients_have_two_simple_roots(self, a, b):
-        # the doubling bracket's 1e12 cap raised RuntimeError on these
+        # the doubling bracket's 1e12 cap raised RuntimeError on the first
+        # three; on the rest s_c is 1e102 to 1e150, and a Python float's
+        # s ** 3 raised OverflowError where q's value is finite
         cls = cubic_positive_roots(a, b)
         assert cls.kind == "two-simple"
         assert cls.roots[0] == pytest.approx(1.0, rel=1e-12)
@@ -266,7 +270,8 @@ class TestCubicRoots:
                 assert cls.kind == "none"
 
     def test_classifies_every_small_cubic(self):
-        grid = [10.0 ** k for k in range(-200, 1, 8)]
+        # down to 1e-304, where s_c reaches ~1e152 and s ** 3 overflows
+        grid = [10.0 ** k for k in range(-304, 1, 8)]
         for a in grid:
             for b in grid:
                 cls = cubic_positive_roots(a, b)

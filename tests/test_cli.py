@@ -1,6 +1,8 @@
 import argparse
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -19,7 +21,7 @@ from adimsolve.methods import (ASIS, DampedFirstOrder, DampedSteffensen,
                                StoppingCriteria)
 from adimsolve.problems import Problem, builtin_problem
 
-from conftest import fresh_python
+from conftest import SRC, fresh_python
 
 
 class TestExitCodes:
@@ -73,6 +75,26 @@ class TestExitCodes:
         assert main(argv + ["--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, code, line", [
+        (["--k2", "1", "--B", "1", "--eta", "0.5"], 0,
+         "[PASS] bounds_newton: sequence system is positive  (positive)"),
+        (["--k2", "1", "--B", "1", "--eta", "0.8", "--override"], 1,
+         "[FAIL] bounds_newton: sequence system is positive  (not positive)"),
+        (["--k2", "1", "--B", "1", "--eta", "0.8"], 1,
+         "error: hypotheses not satisfied: a = 0.8 > 1/2"),
+        (["--k2", "-1", "--B", "1", "--eta", "0.5"], 2,
+         "error: k2 must be nonnegative and finite"),
+    ], ids=["pass", "failed-assertion", "a-above-half", "bad-argument"])
+    def test_the_module_exits_with_mains_code(self, argv, code, line):
+        # python -m adimsolve.cli in a new interpreter: its __main__ line
+        # hands main's 0, 1 or 2 to the shell
+        out = subprocess.run(
+            [sys.executable, "-m", "adimsolve.cli", "bounds-report", *argv],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=120)
+        assert out.returncode == code
+        assert line in (out.stdout + out.stderr).splitlines()
 
     def test_unknown_subcommand_exit_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -220,6 +242,25 @@ class TestOutputFiles:
         rows = (tmp_path / f"bounds_{system}_table.csv").read_text().splitlines()
         tails = [float(r.split(",")[-1]) for r in rows[1:]]
         assert tails[0] == 1.0 and min(tails) >= 0.0
+
+    @pytest.mark.parametrize("argv, key", [
+        # a domain failure at x0: ||F(x0)|| is NaN
+        (["custom", "--problem", "f1", "--method", "newton", "--x0", "800",
+          "--format", "json"], "residual_norms"),
+        # s* is NaN above a = 1/2
+        (["bounds-report", "--k2", "1", "--B", "1", "--eta", "0.8",
+          "--override"], "s_star"),
+    ])
+    def test_json_is_strict_a_non_finite_value_null(self, tmp_path, capsys,
+                                                    argv, key):
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        assert main([*argv, "--out", str(tmp_path)]) == 1
+        objs = [json.loads(p.read_text(), parse_constant=reject)
+                for p in sorted(tmp_path.glob("*.json"))]
+        assert len(objs) == 1
+        assert objs[0][key] in ([None], None)
 
     def test_custom_asis_json_counts_the_setup(self, tmp_path, capsys):
         # F runs 15 times and F' once on f1 from 0.0, the form's setup

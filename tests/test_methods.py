@@ -19,6 +19,7 @@ from adimsolve.methods import (ASIS, Bisection, DampedFirstOrder,
                                DampedSteffensen, FixedSlope, HFamily,
                                IterationTrace, Newton, Secant, Steffensen,
                                StoppingCriteria, asis_solve, h_family_step,
+                               json_text,
                                damped_steffensen_step, logarithmic_convexity,
                                newton_step, secant_step, solve,
                                steffensen_step)
@@ -634,6 +635,14 @@ class TestTraceSerialization:
         assert obj["iterates"][0] == [0.25]
         assert len(obj["step_norms"]) == trace.n_steps
 
+    def test_json_text_writes_non_finite_floats_as_null(self):
+        import json
+        finite = {"b": [1.5, np.float64(0.1)], "a": (2, "x", None, True)}
+        assert json_text(finite, indent=2, sort_keys=True) == \
+            json.dumps(finite, indent=2, sort_keys=True)
+        obj = {"s": math.nan, "t": [1.0, (-math.inf, np.float64(math.inf))]}
+        assert json_text(obj) == '{"s": null, "t": [1.0, [null, null]]}'
+
 
 class TestAsis:
     def test_converges_on_f1(self, f1):
@@ -1000,6 +1009,16 @@ class TestAsisThroughSolve:
             "adimensional form violates G'(y0) = -I")
         assert trace.iterates[0].tobytes() == np.array([0.0]).tobytes()
         assert (trace.n_evals, trace.n_jac_evals) == (3, 1)
+        assert trace.adimensional is None
+
+    def test_a_form_missing_the_unit_value_is_a_status(self):
+        # F(x0) = (5e-324, 5e-324) rounds its norm to sigma = 5e-324, so
+        # ||G(y0)|| = sqrt(2)
+        p = linear_problem(1e-300 * np.eye(2), b=[-5e-324, -5e-324])
+        trace = solve(p, ASIS(), [0.0, 0.0], STOP)
+        assert trace.status == "form-rejected"
+        assert trace.warnings == ["adimensional form violates "
+                                  "||G(y0)|| = 1: residual 4.142e-01"]
         assert trace.adimensional is None
 
     def test_the_stop_is_relative_to_the_residual_at_x0(self, f1):
