@@ -335,9 +335,34 @@ def run_bounds_report(k2: float, B: float, eta: float, system: str = "newton",
 
 # -- custom run ---------------------------------------------------------------
 
+def _unread_flag(problem_name: str, methods: List[str], lam: float,
+                 b: float, dd_variant: str) -> Optional[str]:
+    """custom's first flag set off its default that the run would not
+    read, as its message, or None: --dd and --lambda when every chosen
+    method is built by METHODS as under the default, --b off zigzag."""
+    def read(**kwargs):
+        return any(method_from_name(name, **kwargs) != method_from_name(name)
+                   for name in methods)
+
+    if dd_variant != "componentwise" and not read(dd_variant=dd_variant):
+        return f"--dd {dd_variant} is read by none of the chosen methods"
+    if lam != 1.0 and not read(lam=lam):
+        return f"--lambda {lam} is read by none of the chosen methods"
+    if b != 0.1 and problem_name != "zigzag":
+        return f"--b {b} is read by zigzag alone, not by {problem_name}"
+    return None
+
+
 def run_custom(problem_name: str, methods: List[str], x0,
                stop: StoppingCriteria, lam: float = 1.0, b: float = 0.1,
                dd_variant: str = "componentwise") -> ExperimentResult:
+    """The chosen methods' solves of a named problem from x0.  A ValueError
+    reports a flag that nothing in the run would read (_unread_flag), an
+    x0 of the wrong dimension, an unknown method and a rejected ASIS
+    form."""
+    unread = _unread_flag(problem_name, methods, lam, b, dd_variant)
+    if unread is not None:
+        raise ValueError(unread)
     kwargs = {"b": b} if problem_name == "zigzag" else {}
     problem = builtin_problem(problem_name, **kwargs)
     res = ExperimentResult(name=f"custom_{problem_name}")

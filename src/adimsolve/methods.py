@@ -219,9 +219,9 @@ class HFamily:
 
 @dataclass(frozen=True)
 class ASIS:
-    """Scale-invariant Steffensen: solve runs Steffensen on the
-    adimensional form in its one loop (_adimensional_lane) and keeps the
-    y-space trace as the trace's adimensional."""
+    """Scale-invariant Steffensen: Steffensen(dd) run by solve's one loop
+    on the adimensional form's G (_solve_adimensional), its y-space trace
+    kept as the trace's adimensional."""
 
     dd: DividedDifference = DividedDifference("componentwise")
 
@@ -361,7 +361,8 @@ def solve(problem: Problem, method, x0, stop: StoppingCriteria) -> IterationTrac
     warnings are off inside (QUIET).  n_evals and n_jac_evals count every
     call of F and F', ASIS's setup included.  Bisection aside, every
     method runs in one loop, _solve_iterative: on numpy scalars at m = 1,
-    on arrays above, and for ASIS on the adimensional form.
+    on arrays above, and for ASIS as Steffensen on the adimensional form's
+    G, the loop entered a second time.
 
     ASIS applies stop in y-space: residual_tol bounds
     ||G(y)|| = ||F(x)||/||F(x0)||, and step_tol and the divergence test
@@ -410,29 +411,30 @@ def _scalar_only(method) -> Optional[str]:
 
 def _solve_iterative(p: Problem, method, x0, stop: StoppingCriteria,
                      trace: IterationTrace) -> str:
-    """Iterate method's step from x0, recording each accepted iterate: the
-    one loop of every method but bisection, x0 recorded first.  Its lane,
-    _adimensional_lane for ASIS and otherwise chosen from p.dimension alone
-    (_scalar_lane at m = 1, _array_lane above), supplies the first point,
-    F, the norm, the size the divergence test measures, the recorded
-    iterate, the step's start and the trace the loop writes (trace, or
-    ASIS's y-space trace)."""
+    """Iterate method's step from x0, recording each accepted iterate in
+    trace: the one loop of every method but bisection, x0 recorded first.
+    ASIS is this loop run on its adimensional form (_solve_adimensional).
+    Otherwise the lane, chosen from p.dimension alone (_scalar_lane at
+    m = 1, _array_lane above), supplies the first point, F, the norm, the
+    size the divergence test measures, the recorded iterate and the
+    step's start."""
     trace.iterates.append(as_point(x0, p.dimension).copy())
     trace.residual_norms.append(float("nan"))  # until F(x0) is known
-    lane = (_adimensional_lane if isinstance(method, ASIS)
-            else _scalar_lane if p.dimension == 1 else _array_lane)
-    x, evaluate, norm, size, record, start, out = lane(p, method, x0, trace)
+    if isinstance(method, ASIS):
+        return _solve_adimensional(p, method, stop, trace)
+    lane = _scalar_lane if p.dimension == 1 else _array_lane
+    x, evaluate, norm, size, record, start = lane(p, method, x0, trace)
     fx = evaluate(x)
-    out.residual_norms[0] = min_res = norm(fx)
+    trace.residual_norms[0] = min_res = norm(fx)
     step = start()
     for _ in range(stop.max_iter):
         x_new = step(x, fx)
         fx = evaluate(x_new)
         res = norm(fx)
         step_norm = norm(x_new - x)
-        out.iterates.append(record(x_new))
-        out.residual_norms.append(res)
-        out.step_norms.append(step_norm)
+        trace.iterates.append(record(x_new))
+        trace.residual_norms.append(res)
+        trace.step_norms.append(step_norm)
         x = x_new
         min_res = min(min_res, res)
         if res <= stop.residual_tol:
@@ -445,12 +447,48 @@ def _solve_iterative(p: Problem, method, x0, stop: StoppingCriteria,
     return "max-iter"
 
 
+def _solve_adimensional(p: Problem, method: ASIS, stop: StoppingCriteria,
+                        trace: IterationTrace) -> str:
+    """ASIS from trace's x0: _solve_iterative runs Steffensen on
+    G(y) = F(x0 + T^-1 y)/sigma from y0 into trace.adimensional, which
+    counts G's calls.  The x and F(x) behind each G of one point are kept
+    under y (y0's: the caller's x0, the form's F(x0)); however the run
+    ends, each recorded y then appends its x, ||F(x)|| and x-step to trace.
+    G maps a stack by the form's evaluate_stack, keeping none of it."""
+    form = adimensionalize(p, trace.iterates[0])
+    x_and_f = {form.y0.tobytes(): (trace.iterates[0], form.f_c)}
+    trace.residual_norms[0] = p.vector_norm(form.f_c)
+
+    def g_eval(y):
+        y = as_vector(y)
+        key = y.tobytes()
+        if key not in x_and_f:
+            x = form.to_original(y)
+            x_and_f[key] = x, p.evaluate(x)
+        return x_and_f[key][1] / form.sigma
+
+    g_eval.evaluate_stack = form.evaluate_stack
+    y_trace = trace.adimensional = IterationTrace(
+        used_fd_jacobian=trace.used_fd_jacobian)
+    g = _counting_copy(dataclasses.replace(form.g, f=g_eval), y_trace)
+    try:
+        return _solve_iterative(g, Steffensen(method.dd), form.y0, stop,
+                                y_trace)
+    finally:
+        for y in y_trace.iterates[1:]:
+            x, fx = x_and_f[y.tobytes()]
+            trace.step_norms.append(p.vector_norm(x - trace.iterates[-1]))
+            trace.iterates.append(x)
+            trace.residual_norms.append(p.vector_norm(fx))
+
+
 def _array_lane(p: Problem, method, x0, trace: IterationTrace):
-    """The loop on arrays: F by Problem.evaluate, Problem.vector_norm and
-    euclidean_norm.  A step gets a copy of x, its result is taken as a
-    point and the trace records copies, so a step that updates x in place
-    or returns a list steps as one returning a new array, and neither the
-    caller's x0 nor an iterate the trace holds reaches a step."""
+    """The loop on arrays, m >= 2, ASIS's G included: F by
+    Problem.evaluate, Problem.vector_norm and euclidean_norm.  A step gets
+    a copy of x, its result is taken as a point and the trace records
+    copies, so a step that updates x in place or returns a list steps as
+    one returning a new array, and neither the caller's x0 nor an iterate
+    the trace holds reaches a step."""
     x = as_point(x0, p.dimension)
 
     def start():
@@ -458,18 +496,19 @@ def _array_lane(p: Problem, method, x0, trace: IterationTrace):
         return lambda x, fx: as_point(step(x.copy(), fx), p.dimension)
 
     return (x, p.evaluate, p.vector_norm, euclidean_norm, np.ndarray.copy,
-            start, trace)
+            start)
 
 
 def _scalar_lane(p: Problem, method, x0, trace: IterationTrace):
-    """The loop at m = 1 on numpy scalars, recording (1,) arrays: F by
-    Problem._value, and scalar_norm, |s|, both as the norm (the Euclidean
-    and the max norm of one element alike) and as the size the divergence
-    test measures, so every iterate, norm, count, status and exception is
-    _array_lane's.  Newton and Steffensen with the componentwise operator
-    divide by their slope with solve_scalar, as their array steps do with
-    solve_linear; scalar_dd is looked up on divdiff, as DividedDifference
-    looks it up.  Any other method runs its own step on (1,) arrays."""
+    """The loop at m = 1, ASIS's G included, on numpy scalars, recording
+    (1,) arrays: F by Problem._value, and scalar_norm, |s|, both as the
+    norm (the Euclidean and the max norm of one element alike) and as the
+    size the divergence test measures, so every iterate, norm, count,
+    status and exception is _array_lane's.  Newton and Steffensen with
+    the componentwise operator divide by their slope with solve_scalar, as
+    their array steps do with solve_linear; scalar_dd is looked up on
+    divdiff, as DividedDifference looks it up.  Any other method runs its
+    own step on (1,) arrays."""
     x = as_point(x0, 1)
 
     def start():
@@ -482,49 +521,7 @@ def _scalar_lane(p: Problem, method, x0, trace: IterationTrace):
         return lambda t, ft: as_point(step(np.array([t]), np.array([ft])), 1)[0]
 
     return (x[0], p._value, scalar_norm, scalar_norm, lambda t: np.array([t]),
-            start, trace)
-
-
-def _adimensional_lane(p: Problem, method: ASIS, x0, trace: IterationTrace):
-    """ASIS: Steffensen on G(y) = F(x0 + T^-1 y)/sigma in G's own lane
-    (looked up here, so a lane swapped on this module serves G too),
-    writing trace.adimensional, which counts G's calls.  The x and F(x)
-    behind each G evaluated one at a time are kept under y: y0 is the
-    caller's x0 with the form's F(x0), and each recorded y appends its x,
-    ||F(x)|| and x-step to trace, so no point is mapped or evaluated
-    twice.  G's stacks are the form's evaluate_stack, one stack of F each."""
-    form = adimensionalize(p, x0)
-    y0 = form.y0
-    x_and_f = {y0.tobytes(): (trace.iterates[0], form.f_c)}
-    trace.residual_norms[0] = p.vector_norm(form.f_c)
-
-    def g_eval(y):
-        y = as_vector(y)
-        key = y.tobytes()
-        if key not in x_and_f:
-            x = form.to_original(y)
-            x_and_f[key] = x, p.evaluate(x)
-        return x_and_f[key][1] / form.sigma
-
-    # a stack of G's points is the form's: mapped and evaluated together,
-    # none of them kept
-    g_eval.evaluate_stack = form.evaluate_stack
-    y_trace = trace.adimensional = IterationTrace(
-        iterates=[y0.copy()], residual_norms=[float("nan")],
-        used_fd_jacobian=trace.used_fd_jacobian)
-    g = _counting_copy(dataclasses.replace(form.g, f=g_eval), y_trace)
-    lane = _scalar_lane if g.dimension == 1 else _array_lane
-    y, evaluate, norm, size, record_y, start, _ = lane(
-        g, Steffensen(method.dd), y0, y_trace)
-
-    def record(y):
-        x, fx = x_and_f[y.tobytes()]
-        trace.step_norms.append(p.vector_norm(x - trace.iterates[-1]))
-        trace.iterates.append(x)
-        trace.residual_norms.append(p.vector_norm(fx))
-        return record_y(y)
-
-    return y, evaluate, norm, size, record, start, y_trace
+            start)
 
 
 def _solve_bisection(p: Problem, method: Bisection, stop: StoppingCriteria,

@@ -174,6 +174,59 @@ class TestExitCodes:
         assert trace["status"] == "converged-by-residual"
         assert len(trace["iterates"]) - 1 == steps
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--method", "secant", "--method", "newton", "--dd", "integral"],
+         "--dd integral"),
+        (["--method", "steffensen", "--method", "asis", "--lambda", "0.3"],
+         "--lambda 0.3"),
+        (["--method", "newton", "--b", "0.2"], "--b 0.2")])
+    def test_custom_refuses_a_flag_nothing_reads(self, argv, flag, tmp_path,
+                                                 capsys):
+        # each run would write the files of the same run without the flag
+        out = tmp_path / "out"
+        code = main(["custom", "--problem", "f1", *argv, "--x0", "0.0",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag} is read by")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", list(experiments.METHODS))
+    @pytest.mark.parametrize("flag, value, readers", [
+        ("--dd", "integral", {"steffensen", "asis", "damped-steffensen"}),
+        ("--lambda", "0.5", {"damped-steffensen", "damped-first-order",
+                             "fixed-slope"})])
+    def test_custom_flag_readers(self, name, flag, value, readers, tmp_path,
+                                 capsys):
+        out = tmp_path / "out"
+        code = main(["custom", "--problem", "f1", "--method", name, flag,
+                     value, "--x0", "0.0", "--out", str(out)])
+        assert (code != 2) == (name in readers)
+        assert out.exists() == (name in readers)
+
+    @pytest.mark.parametrize("reader", [
+        ["--method", "steffensen", "--dd", "integral"],
+        ["--method", "fixed-slope", "--lambda", "0.5"]])
+    def test_custom_runs_a_flag_one_choice_reads(self, reader, tmp_path,
+                                                 capsys):
+        # beside a method that reads the flag, newton runs as it runs alone
+        run = ["custom", "--problem", "f1", "--x0", "0.0", "--method",
+               "newton"]
+        both, alone = tmp_path / "both", tmp_path / "alone"
+        assert main([*run, *reader, "--out", str(both)]) == 0
+        assert main([*run, "--out", str(alone)]) == 0
+        name = "custom_f1_newton.csv"
+        assert (both / name).read_bytes() == (alone / name).read_bytes()
+
+    def test_custom_b_is_read_by_zigzag(self, tmp_path, capsys):
+        written = {}
+        for b in ("0.1", "0.2"):
+            assert main(["custom", "--problem", "zigzag", "--method", "newton",
+                         "--b", b, "--x0", "0.1", "1.0", "--out",
+                         str(tmp_path / b)]) == 0
+            written[b] = (tmp_path / b
+                          / "custom_zigzag_newton.csv").read_bytes()
+        assert written["0.1"] != written["0.2"]
+
     def test_custom_bisection_is_an_unknown_method(self, capsys):
         # a bisection needs a bracket, which the custom run has no flag for
         code = main(["custom", "--problem", "f1", "--method", "bisection",

@@ -734,6 +734,38 @@ class TestAsis:
         assert np.array_equal(trace.iterates, [form.to_original(form.y0)])
         assert trace.adimensional.n_evals == 2   # G(y0) and the failed node
 
+    @pytest.mark.parametrize("name, x0, n_good, n_steps", [
+        ("f1", [0.0], 7, 2),            # at step 3's node
+        ("f1", [0.0], 6, 1),            # at step 2's new iterate
+        ("example3", [0.0, 0.0], 12, 2)])  # inside step 3's telescope
+    def test_a_failure_mid_run_keeps_the_traces_aligned(self, name, x0,
+                                                        n_good, n_steps):
+        # F is non-finite once it has been called n_good times: the run
+        # stops at that call, and each y recorded before it has its x,
+        # ||F(x)|| and x-step in the x-trace
+        p = builtin_problem(name)
+        n_calls = [0]
+
+        def f(x):
+            n_calls[0] += 1
+            return p.f(x) * (np.nan if n_calls[0] > n_good else 1.0)
+
+        trace = solve(dataclasses.replace(p, f=f), ASIS(), x0, STOP)
+        got = trace.adimensional
+        assert trace.status == got.status == "domain-failure"
+        assert trace.n_evals == n_calls[0] > n_good
+        for t in (trace, got):
+            assert t.n_steps == n_steps
+            assert len(t.iterates) == len(t.residual_norms) == n_steps + 1
+            assert len(t.step_norms) == n_steps
+        form = adimensionalize(p, x0)
+        assert all(form.to_original(y).tobytes() == x.tobytes()
+                   for y, x in zip(got.iterates, trace.iterates))
+        assert trace.residual_norms == [p.vector_norm(p.evaluate(x))
+                                        for x in trace.iterates]
+        assert trace.step_norms == [p.vector_norm(b - a) for a, b in
+                                    zip(trace.iterates, trace.iterates[1:])]
+
     @pytest.mark.parametrize("k", [1.0, 1e160, 1e-170])
     def test_converges_whatever_the_value_scale(self, f1, k):
         # ||F(x0)|| squared overflows at k = 1e160 and underflows at
@@ -984,6 +1016,34 @@ class TestAsisThroughSolve:
         assert trace.status == "converged-by-residual"
         assert trace.adimensional.n_steps == trace.n_steps > 0
         assert entered == [ASIS()]
+
+    @pytest.mark.parametrize("dd", [DividedDifference("componentwise"),
+                                    DividedDifference("integral")])
+    @pytest.mark.parametrize("name, x0", [("f1", [0.0]),
+                                          ("example3", [0.3, -0.7])])
+    def test_asis_is_steffensen_run_by_the_loop_on_g(self, monkeypatch, dd,
+                                                     name, x0):
+        # the one loop is entered twice: on the problem with ASIS, then
+        # on the form's G with Steffensen from y0
+        entered = []
+        real = methods._solve_iterative
+
+        def recording_loop(p, method, start, stop, trace):
+            entered.append((p, method, np.array(start, dtype=float)))
+            return real(p, method, start, stop, trace)
+
+        monkeypatch.setattr(methods, "_solve_iterative", recording_loop)
+        p = builtin_problem(name)
+        trace = methods.solve(p, ASIS(dd), x0, STOP)
+        assert trace.adimensional.n_steps == trace.n_steps > 0
+        (outer, first, at_x0), (g, second, at_y0) = entered
+        assert (first, second) == (ASIS(dd), Steffensen(dd))
+        form = adimensionalize(p, x0)
+        assert at_x0.tobytes() == np.array(x0).tobytes()
+        assert at_y0.tobytes() == form.y0.tobytes()
+        y = np.full(p.dimension, 0.125)
+        assert np.array_equal(outer.evaluate(x0), p.evaluate(x0))
+        assert np.array_equal(g.evaluate(y), form.g.evaluate(y))
 
     def test_the_package_root_runs_asis_through_solve(self):
         import adimsolve
